@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +31,11 @@ from .formula import (
 from .hogg import (
     gamma_matrix,
     measure_distribution,
-    mixing_matrix,
     phase_matrix,
     run_pipeline,
     verify_wgw,
-    walsh_hadamard,
 )
-from .linalg import is_unitary, phase_aligned_error
+from .linalg import check_dense_size, phase_aligned_error
 from .pulse import (
     NotTensorFactorable,
     PulseParseError,
@@ -61,14 +59,13 @@ from .spin_sim import (
     parse_measured_vector,
     parse_prep_scheme,
     parse_spin_system,
-    run_experiment,
+    prep_contributions,
     run_prep_scheme,
     significant_terms,
     stick_spectrum,
     target_pseudo_pure,
     thermal_state,
     z_product_decomposition,
-    zero_off_diagonal,
 )
 
 DEFAULT_TOLERANCES = {
@@ -183,25 +180,6 @@ def _cmd_solve(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_pair(n: int, m: int, tol: float) -> dict:
-    wgw = verify_wgw(n, m, tol)
-    mixing_ok = is_unitary(mixing_matrix(n, m), tol)
-    gamma_mod = float(np.abs(np.abs(gamma_matrix(n, m)) - 1.0).max())
-    w = walsh_hadamard(n)
-    involution = float(np.abs(w @ w - np.eye(2**n)).max())
-    passed = wgw.passed and mixing_ok and gamma_mod <= tol and involution <= tol
-    return {
-        "n": n,
-        "m": m,
-        "wgw_error": wgw.max_abs_error,
-        "wgw_phase": wgw.global_phase,
-        "mixing_unitary": mixing_ok,
-        "gamma_modulus_error": gamma_mod,
-        "walsh_involution_error": involution,
-        "passed": passed,
-    }
-
-
 def _cmd_verify(args) -> int:
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["verify"]
     if args.all:
@@ -210,7 +188,13 @@ def _cmd_verify(args) -> int:
         if args.n is None or args.m is None:
             raise SystemExit("verify: give N and M, or --all")
         pairs = [(args.n, args.m)]
-    checks = [_verify_pair(n, m, tol) for n, m in pairs]
+    check_dense_size(max(n for n, _ in pairs))
+    checks = []
+    for n, m in pairs:
+        check = asdict(verify_wgw(n, m, tol))
+        check["wgw_error"] = check.pop("max_abs_error")
+        check["wgw_phase"] = check.pop("global_phase")
+        checks.append(check)
     all_passed = all(c["passed"] for c in checks)
     worst = max(max(c["wgw_error"], c["gamma_modulus_error"], c["walsh_involution_error"])
                 for c in checks)
@@ -245,11 +229,9 @@ def _cmd_prep(args) -> int:
         scheme_label = f"built-in {args.n}-spin temporal averaging"
     n = args.n
     target = target_pseudo_pure(n)
+    contributions = prep_contributions(scheme, n)
     experiments = []
-    for idx, experiment in enumerate(scheme.experiments, start=1):
-        rho = run_experiment(experiment, n)
-        if scheme.gradient:
-            rho = zero_off_diagonal(rho)
+    for idx, (experiment, rho) in enumerate(zip(scheme.experiments, contributions), start=1):
         coeffs, z_residual = z_product_decomposition(rho)
         gate_names = " ".join(str(g) for g in experiment.gates) or "E"
         if experiment.tip_spins:
@@ -261,7 +243,7 @@ def _cmd_prep(args) -> int:
             "coefficients": {"".join(map(str, k)): v for k, v in significant_terms(coeffs).items()},
             "non_z_residual": z_residual,
         })
-    total = run_prep_scheme(scheme, n)
+    total = sum(contributions)
     residual = float(np.abs(total - target).max())
     off_diag = float(np.abs(total - np.diag(np.diagonal(total))).max())
     params = _load_params(args)
@@ -367,6 +349,7 @@ def _cmd_pulse(args) -> int:
     if args.pulse_command == "verify":
         f = parse_formula(args.formula)
         seq = parse_pulse_sequence(args.sequence)
+        f = replace(f, n=max([f.n, *(p.spin for p in seq)]))
         result = verify_table_sequence(f, seq, tol)
         report.update({"verification": result})
         lines = [

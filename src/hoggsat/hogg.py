@@ -34,24 +34,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import Formula, conflict_counts
-from .linalg import phase_aligned_error, popcount
+from .formula import MAX_VARIABLES, Formula, conflict_counts
+from .linalg import check_dense_size, is_unitary, phase_aligned_error, popcount
 
 OPERATOR_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
 
 
 def _check_n(n: int) -> None:
-    if not 1 <= n <= 16:
-        raise ValueError(f"qubit count must be in [1, 16], got {n}")
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"qubit count must be in [1, {MAX_VARIABLES}], got {n}")
 
 
 def walsh_hadamard(n: int) -> np.ndarray:
     """Dense n-qubit Walsh-Hadamard transform; W @ W = identity.
 
-    Memory grows as 4**n; intended for the small n used in verification.
+    Memory grows as 4**n, so n is capped at `linalg.MAX_DENSE_QUBITS`.
     """
     _check_n(n)
+    check_dense_size(n)
     idx = np.arange(2**n, dtype=np.uint32)
     parity = popcount(idx[:, None] & idx[None, :]) & 1
     return (2 ** (-n / 2)) * np.where(parity, -1.0, 1.0).astype(complex)
@@ -96,6 +97,7 @@ def gamma_matrix(n: int, m: int) -> np.ndarray:
 def mixing_matrix(n: int, m: int) -> np.ndarray:
     """Dense mixing operator; entry (r, s) depends only on d(r, s)."""
     _check_n(n)
+    check_dense_size(n)
     if m < 0:
         raise ValueError("clause count must be nonnegative")
     idx = np.arange(2**n, dtype=np.uint32)
@@ -116,25 +118,39 @@ def leading_phase_normalized(diag: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WgwReport:
-    """Outcome of checking U against W @ Gamma @ W."""
+    """Outcome of checking U against W @ Gamma @ W, and the operators' own
+    identities: U unitary, |Gamma| = 1 and W @ W = I."""
 
     n: int
     m: int
     max_abs_error: float
     global_phase: complex
+    mixing_unitary: bool
+    gamma_modulus_error: float
+    walsh_involution_error: float
     passed: bool
 
 
 def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     """Compare the direct mixing matrix with its W Gamma W factorization.
 
-    The comparison aligns the global phase at the largest-modulus entry
-    first; `passed` is False when the aligned error exceeds `tol`.
+    W, Gamma and U are each built once.  The comparison aligns the global
+    phase at the largest-modulus entry first; `passed` is False when the
+    aligned error, the unitarity of U, the modulus error of Gamma or the
+    W @ W = I error misses `tol`.
     """
     w = walsh_hadamard(n)
-    product = w @ np.diag(gamma_matrix(n, m)) @ w
-    err, phase = phase_aligned_error(product, mixing_matrix(n, m))
-    return WgwReport(n=n, m=m, max_abs_error=err, global_phase=phase, passed=err <= tol)
+    gamma = gamma_matrix(n, m)
+    u = mixing_matrix(n, m)
+    err, phase = phase_aligned_error(w @ np.diag(gamma) @ w, u)
+    unitary = is_unitary(u, tol)
+    gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
+    involution = float(np.abs(w @ w - np.eye(2**n)).max())
+    return WgwReport(
+        n=n, m=m, max_abs_error=err, global_phase=phase, mixing_unitary=unitary,
+        gamma_modulus_error=gamma_mod, walsh_involution_error=involution,
+        passed=err <= tol and unitary and gamma_mod <= tol and involution <= tol,
+    )
 
 
 def run_pipeline(f: Formula) -> np.ndarray:

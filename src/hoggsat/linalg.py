@@ -31,6 +31,16 @@ _AXIS_MATRICES = {
 
 AXES = tuple(_AXIS_MATRICES)
 
+#: Largest n for which a dense 2**n x 2**n complex matrix (256 MiB at 12) is built.
+MAX_DENSE_QUBITS = 12
+
+
+def check_dense_size(n: int) -> None:
+    """Reject a dense 2**n x 2**n complex matrix above MAX_DENSE_QUBITS before allocating it."""
+    if n > MAX_DENSE_QUBITS:
+        raise ValueError(f"n={n} needs a dense 2**{n} x 2**{n} complex matrix ({16 * 4**n / 2**30:g} "
+                         f"GiB); dense routes are capped at n={MAX_DENSE_QUBITS}")
+
 
 def popcount(values):
     """Number of set bits, elementwise, for nonnegative ints below 2**32."""
@@ -61,12 +71,6 @@ def embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
     if not 1 <= spin <= n:
         raise ValueError(f"spin index {spin} out of range for {n} spins")
     return kron_all([op if k == spin else IDENTITY_2 for k in range(1, n + 1)])
-
-
-def basis_state(index: int, n: int) -> np.ndarray:
-    vec = np.zeros(2**n, dtype=complex)
-    vec[index] = 1.0
-    return vec
 
 
 def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .formula import Formula, parse_assignment_bits, reverse_bits
 from .hogg import mixing_matrix, phase_matrix, walsh_hadamard
-from .linalg import embed_single, phase_aligned_error, rotation
+from .linalg import check_dense_size, embed_single, phase_aligned_error, rotation
+from .spin_sim import CNot, Flip, three_spin_prep_scheme
 
 QUARTER_TURN = np.pi / 2
 
@@ -163,6 +164,7 @@ def parse_pulse_sequence(text: str) -> PulseSequence:
 
 def sequence_to_unitary(seq: PulseSequence, n: int) -> np.ndarray:
     """Unitary of a sequence on n spins, rightmost pulse applied first."""
+    check_dense_size(n)
     out = np.eye(2**n, dtype=complex)
     for pulse in seq.pulses:
         if not 1 <= pulse.spin <= n:
@@ -411,8 +413,6 @@ def lower_gate(gate) -> tuple[ProgramElement, ...]:
     flanked by pi refocusing pulses; an unconditional NOT is a single pi
     pulse.  The realization matches the gate up to global phase.
     """
-    from .spin_sim import CNot, Flip
-
     if isinstance(gate, Flip):
         return (Pulse(gate.spin, "x", np.pi),)
     if isinstance(gate, CNot):
@@ -431,8 +431,6 @@ def lower_gate(gate) -> tuple[ProgramElement, ...]:
 
 def prep_pulse_program(n: int = 3) -> list[LoweredProgram]:
     """Lower the built-in 3-spin preparation scheme to pulse programs."""
-    from .spin_sim import three_spin_prep_scheme
-
     if n != 3:
         raise ValueError("pulse programs are provided for the 3-spin scheme only")
     programs = []

@@ -67,22 +67,18 @@ def z_product_diagonal(spins, n: int) -> np.ndarray:
 
 def thermal_state(n: int) -> np.ndarray:
     """Deviation matrix at thermal equilibrium: the sum of I_kz over all
-    spins, with equal unit weights (homonuclear system)."""
+    spins, with equal unit weights (homonuclear system).  Its diagonal is
+    n/2 - popcount(i)."""
     _check_spins(n)
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for k in range(1, n + 1):
-        out += z_product((k,), n)
-    return out
+    return np.diag(n / 2 - popcount(np.arange(2**n))).astype(complex)
 
 
 def target_pseudo_pure(n: int) -> np.ndarray:
     """Deviation matrix of the pseudo-pure state |00...0>: the sum of the
-    2**n - 1 z-product terms, which equals 2**(n-1) (|0..0><0..0| - I/2**n)."""
+    2**n - 1 z-product terms, 2**(n-1) (|0..0><0..0| - I/2**n)."""
     _check_spins(n)
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            out += z_product(subset, n)
+    out = np.diag(np.full(2**n, -0.5)).astype(complex)
+    out[0, 0] += 2 ** (n - 1)
     return out
 
 
@@ -279,16 +275,16 @@ def run_experiment(experiment: Experiment, n: int) -> np.ndarray:
     return g @ thermal_state(n) @ g.conj().T
 
 
+def prep_contributions(scheme: PrepScheme, n: int) -> list[np.ndarray]:
+    """Each experiment's deviation matrix as it enters the temporal-averaging
+    sum: after the gradient model when the scheme's gradient flag is set."""
+    rhos = [run_experiment(experiment, n) for experiment in scheme.experiments]
+    return [zero_off_diagonal(rho) for rho in rhos] if scheme.gradient else rhos
+
+
 def run_prep_scheme(scheme: PrepScheme, n: int) -> np.ndarray:
-    """Sum the experiments of a scheme, applying the gradient model to each
-    contribution when the scheme's gradient flag is set."""
-    total = np.zeros((2**n, 2**n), dtype=complex)
-    for experiment in scheme.experiments:
-        rho = run_experiment(experiment, n)
-        if scheme.gradient:
-            rho = zero_off_diagonal(rho)
-        total += rho
-    return total
+    """Sum the experiments' contributions (see `prep_contributions`)."""
+    return sum(prep_contributions(scheme, n), np.zeros((2**n, 2**n), dtype=complex))
 
 
 class SchemeParseError(ValueError):

@@ -1,8 +1,12 @@
 import json
+import time
 
 import pytest
 
+import hoggsat
+from hoggsat import cli, hogg, pulse, spin_sim
 from hoggsat.cli import main
+from hoggsat.pulse import THREE_SPIN_TABLE
 from hoggsat.spin_sim import MEASURED_PREP_DIAG, MEASURED_SEARCH_DIAGS
 
 
@@ -10,6 +14,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` under every hoggsat name bound to it; return the
+    list that records one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for namespace in (hoggsat, cli, hogg, pulse, spin_sim):
+        for key, value in list(vars(namespace).items()):
+            if value is original:
+                monkeypatch.setattr(namespace, key, counted)
+    return calls
 
 
 class TestSolve:
@@ -69,6 +90,13 @@ class TestVerify:
         assert report["all_passed"] is True
         assert report["checks"][0]["wgw_error"] <= 1e-12
 
+    def test_builds_w_and_u_once(self, capsys, monkeypatch):
+        w_calls = count_calls(monkeypatch, hogg, "walsh_hadamard")
+        u_calls = count_calls(monkeypatch, hogg, "mixing_matrix")
+        code, _, _ = run_cli(capsys, "verify", "3", "3")
+        assert code == 0
+        assert (len(w_calls), len(u_calls)) == (1, 1)
+
 
 class TestPrep:
     def test_builtin_three_spin(self, capsys):
@@ -101,6 +129,12 @@ class TestPrep:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["experiments"][1]["coefficients"] == {"123": 1.0, "23": 1.0, "3": -1.0}
+
+    def test_runs_each_experiment_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, spin_sim, "run_experiment")
+        code, _, _ = run_cli(capsys, "prep", "3")
+        assert code == 0
+        assert len(calls) == len(spin_sim.three_spin_prep_scheme().experiments)
 
 
 class TestCompare:
@@ -146,9 +180,11 @@ class TestCompare:
 
 
 class TestPulse:
-    def test_verify_catalog_row(self, capsys):
-        code, out, _ = run_cli(capsys, "pulse", "verify", "v1 & v2 & v3",
-                               "(XY~X)1(XY~X)2(XY~X)3")
+    @pytest.mark.parametrize("row", THREE_SPIN_TABLE, ids=lambda row: row.formula_text)
+    def test_verify_catalog_row(self, capsys, row):
+        # n is the larger of the formula's and the sequence's, so the
+        # single-clause rows run on three spins
+        code, out, _ = run_cli(capsys, "pulse", "verify", row.formula_text, row.sequence_text)
         assert code == 0
         assert "action on |000>: equivalent" in out
 
@@ -205,6 +241,20 @@ class TestSpectrum:
         _, prepared, _ = run_cli(capsys, "spectrum", "prep", "--spin", "2")
         _, ideal, _ = run_cli(capsys, "spectrum", "pseudo-pure", "--spin", "2")
         assert prepared.splitlines()[1:] == ideal.splitlines()[1:]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "16", "1"),
+    ("verify", "--all", "--max-n", "16"),
+    ("pulse", "compile-r", "v1 & v8 & v16"),
+    ("pulse", "verify", "v16", ""),
+])
+def test_dense_cap_rejects_before_allocating(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "n=16 needs a dense 2**16 x 2**16 complex matrix" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_version_flag(capsys):

@@ -62,6 +62,14 @@ class TestWalshHadamard:
         with pytest.raises(ValueError):
             walsh_apply(np.ones(3))
 
+    def test_dense_cap(self):
+        for build in (walsh_hadamard, lambda n: mixing_matrix(n, 1)):
+            with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
+                build(13)
+        # the vector routes keep the formula model's range
+        assert gamma_matrix(16, 3).size == 2**16
+        assert run_pipeline(parse_formula("v16")).size == 2**16
+
 
 class TestPhaseMatrix:
     def test_three_clause_fixture(self):

@@ -117,6 +117,10 @@ class TestSequenceUnitary:
         with pytest.raises(ValueError):
             sequence_to_unitary(parse_pulse_sequence("X3"), 2)
 
+    def test_dense_cap(self):
+        with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
+            sequence_to_unitary(EMPTY_SEQUENCE, 13)
+
 
 class TestCompileDiagonal:
     def test_conflict_diagonal_compiles_to_barred_z(self):

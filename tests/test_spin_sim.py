@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,16 @@ class TestReferenceStates:
             projector[0, 0] = 1.0
             expected = 2 ** (n - 1) * (projector - np.eye(2**n) / 2**n)
             assert np.abs(target_pseudo_pure(n) - expected).max() < 1e-12
+
+    def test_closed_forms_equal_z_product_sums(self):
+        for n in range(1, 7):
+            spins = range(1, n + 1)
+            zero = np.zeros((2**n, 2**n), dtype=complex)
+            thermal = sum((z_product((k,), n) for k in spins), zero)
+            target = sum((z_product(subset, n) for size in spins
+                          for subset in itertools.combinations(spins, size)), zero)
+            assert np.array_equal(thermal_state(n), thermal)
+            assert np.array_equal(target_pseudo_pure(n), target)
 
     def test_target_diag_normalizes_to_single_population(self):
         values = diag_tomography(target_pseudo_pure(3)).values

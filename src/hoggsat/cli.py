@@ -147,8 +147,8 @@ def _cmd_solve(args) -> int:
     verdict = "SAT" if top_conflicts == 0 else "UNSAT"
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["solve"]
     support = [
-        {"assignment": _display_bits(a, f.n, args.bit_order), "probability": float(p)}
-        for a, p in enumerate(probs) if p > tol
+        {"assignment": _display_bits(a, f.n, args.bit_order), "probability": float(probs[a])}
+        for a in np.flatnonzero(probs > tol).tolist()
     ]
     report = _base_report(args, "solve")
     report.update({
@@ -183,6 +183,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["verify"]
     if args.all:
+        if args.max_n < 1:
+            raise SystemExit(f"verify: --max-n must be at least 1, got {args.max_n}")
         pairs = [(n, m) for n in range(1, args.max_n + 1) for m in range(1, n + 1)]
     else:
         if args.n is None or args.m is None:

@@ -23,9 +23,13 @@ All diagonals are returned raw, exactly as defined above; comparisons that
 only hold up to a global phase perform explicit alignment instead of baking
 normalization into the constructors.
 
-Dense matrices are the reference representation.  `run_pipeline` uses the
-O(n * 2**n) butterfly for W, which agrees with the dense route to machine
-precision (checked in the test suite).
+U_rs depends only on r XOR s, so U is the XOR-convolution with its column
+0 (`mixing_column`) and W diagonalizes it.  `run_pipeline` and `verify_wgw`
+therefore work on vectors with the O(n * 2**n) butterfly for W; the dense
+`walsh_hadamard` and `mixing_matrix` are the reference representation that
+the test suite compares them with.  Only the W @ W = I check of
+`verify_wgw`, which transforms the whole identity basis, needs a
+2**n x 2**n array and stays under `linalg.MAX_DENSE_QUBITS`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import MAX_VARIABLES, Formula, conflict_counts
-from .linalg import check_dense_size, is_unitary, phase_aligned_error, popcount
+from .linalg import check_dense_size, phase_aligned_error, popcount
 
 OPERATOR_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
@@ -59,20 +63,26 @@ def walsh_hadamard(n: int) -> np.ndarray:
 
 
 def walsh_apply(vec: np.ndarray) -> np.ndarray:
-    """Apply the normalized Walsh-Hadamard transform with the butterfly."""
-    out = np.array(vec, dtype=complex)
-    size = out.size
+    """Apply the normalized Walsh-Hadamard transform along axis 0 with the butterfly.
+
+    A 2-D input is transformed column by column.  Real input gives a real
+    result; anything else is transformed as complex.
+    """
+    out = np.array(vec, dtype=float if np.isrealobj(vec) else complex, ndmin=1)
+    size = out.shape[0]
     if size & (size - 1) or size == 0:
         raise ValueError("state length must be a power of two")
+    rest = out.shape[1:]
     h = 1
     while h < size:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :].copy()
-        out[:, 0, :] = top + out[:, 1, :]
-        out[:, 1, :] = top - out[:, 1, :]
-        out = out.reshape(size)
+        pairs = out.reshape(-1, 2, h, *rest)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        diff = top - bottom
+        top += bottom
+        bottom[...] = diff
         h *= 2
-    return out / np.sqrt(size)
+    out /= np.sqrt(size)
+    return out
 
 
 def phase_matrix(f: Formula) -> np.ndarray:
@@ -94,17 +104,25 @@ def gamma_matrix(n: int, m: int) -> np.ndarray:
     return (1j**h) * np.exp(-1j * np.pi * m / 4)
 
 
-def mixing_matrix(n: int, m: int) -> np.ndarray:
-    """Dense mixing operator; entry (r, s) depends only on d(r, s)."""
+def mixing_column(n: int, m: int) -> np.ndarray:
+    """Column 0 of the mixing operator: entry k is U_k0, a function of the
+    number of 1-bits d of k; U_rs = column[r ^ s]."""
     _check_n(n)
-    check_dense_size(n)
     if m < 0:
         raise ValueError("clause count must be nonnegative")
-    idx = np.arange(2**n, dtype=np.uint32)
-    d = popcount(idx[:, None] ^ idx[None, :])
+    d = popcount(np.arange(2**n, dtype=np.uint32))
     if m % 2 == 0:
         return (2 ** (-(n - 1) / 2) * np.cos((n - m + 1 - 2 * d) * np.pi / 4)).astype(complex)
     return 2 ** (-n / 2) * np.exp(1j * np.pi * (n - m) / 4) * (-1j) ** d
+
+
+def mixing_matrix(n: int, m: int) -> np.ndarray:
+    """Dense mixing operator, the test reference: U_rs = mixing_column(n, m)[r ^ s]."""
+    _check_n(n)
+    check_dense_size(n)
+    column = mixing_column(n, m)
+    idx = np.arange(2**n, dtype=np.uint32)
+    return column[idx[:, None] ^ idx[None, :]]
 
 
 def leading_phase_normalized(diag: np.ndarray) -> np.ndarray:
@@ -132,20 +150,30 @@ class WgwReport:
 
 
 def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
-    """Compare the direct mixing matrix with its W Gamma W factorization.
+    """Check the mixing operator against its W Gamma W factorization.
 
-    W, Gamma and U are each built once.  The comparison aligns the global
-    phase at the largest-modulus entry first; `passed` is False when the
+    Both U and W Gamma W depend only on r XOR s, so their columns 0 decide
+    every entry: column 0 of W Gamma W is 2**(-n/2) * W Gamma, compared with
+    `mixing_column` after aligning the global phase at its largest-modulus
+    entry.  U is unitary when column 0 of U^H U - I, which is
+    2**(-n/2) * W(|lambda|**2 - 1) for the eigenvalues lambda = 2**(n/2) * W u,
+    stays within `tol`.  W @ W = I is checked on the whole identity basis,
+    so n is capped at `linalg.MAX_DENSE_QUBITS`.  `passed` is False when the
     aligned error, the unitarity of U, the modulus error of Gamma or the
     W @ W = I error misses `tol`.
     """
-    w = walsh_hadamard(n)
+    _check_n(n)
+    check_dense_size(n)
     gamma = gamma_matrix(n, m)
-    u = mixing_matrix(n, m)
-    err, phase = phase_aligned_error(w @ np.diag(gamma) @ w, u)
-    unitary = is_unitary(u, tol)
+    u = mixing_column(n, m)
+    scale = 2 ** (n / 2)
+    err, phase = phase_aligned_error(walsh_apply(gamma) / scale, u)
+    eigenvalues = scale * walsh_apply(u)
+    unitary = bool(np.abs(walsh_apply(np.abs(eigenvalues) ** 2 - 1.0)).max() / scale <= tol)
     gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
-    involution = float(np.abs(w @ w - np.eye(2**n)).max())
+    residual = walsh_apply(walsh_apply(np.eye(2**n)))
+    residual[np.diag_indices(2**n)] -= 1.0
+    involution = float(np.abs(residual).max())
     return WgwReport(
         n=n, m=m, max_abs_error=err, global_phase=phase, mixing_unitary=unitary,
         gamma_modulus_error=gamma_mod, walsh_involution_error=involution,

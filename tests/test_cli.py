@@ -4,7 +4,7 @@ import time
 import pytest
 
 import hoggsat
-from hoggsat import cli, hogg, pulse, spin_sim
+from hoggsat import cli, hogg, linalg, pulse, spin_sim
 from hoggsat.cli import main
 from hoggsat.pulse import THREE_SPIN_TABLE
 from hoggsat.spin_sim import MEASURED_PREP_DIAG, MEASURED_SEARCH_DIAGS
@@ -26,7 +26,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for namespace in (hoggsat, cli, hogg, pulse, spin_sim):
+    for namespace in (hoggsat, cli, hogg, linalg, pulse, spin_sim):
         for key, value in list(vars(namespace).items()):
             if value is original:
                 monkeypatch.setattr(namespace, key, counted)
@@ -90,12 +90,25 @@ class TestVerify:
         assert report["all_passed"] is True
         assert report["checks"][0]["wgw_error"] <= 1e-12
 
-    def test_builds_w_and_u_once(self, capsys, monkeypatch):
-        w_calls = count_calls(monkeypatch, hogg, "walsh_hadamard")
-        u_calls = count_calls(monkeypatch, hogg, "mixing_matrix")
+    def test_builds_no_dense_operator(self, capsys, monkeypatch):
+        calls = [count_calls(monkeypatch, module, name) for module, name in (
+            (hogg, "walsh_hadamard"), (hogg, "mixing_matrix"), (linalg, "is_unitary"))]
         code, _, _ = run_cli(capsys, "verify", "3", "3")
         assert code == 0
-        assert (len(w_calls), len(u_calls)) == (1, 1)
+        assert [len(c) for c in calls] == [0, 0, 0]
+
+    @pytest.mark.parametrize("n,m", [("3", "0"), ("2", "5")])
+    def test_zero_and_excess_clause_counts_pass(self, capsys, n, m):
+        code, out, _ = run_cli(capsys, "verify", n, m)
+        assert code == 0
+        assert f"n={n} m={m} " in out and "all passed" in out
+
+    @pytest.mark.parametrize("max_n", ["0", "-2"])
+    def test_rejects_max_n_below_one(self, capsys, max_n):
+        code, out, err = run_cli(capsys, "verify", "--all", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert f"--max-n must be at least 1, got {max_n}" in err
 
 
 class TestPrep:

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hoggsat import hogg
 from hoggsat.formula import Clause, Formula, Literal, negate_variable, parse_formula, solutions
 from hoggsat.hogg import (
+    WgwReport,
     gamma_matrix,
     leading_phase_normalized,
     measure_distribution,
+    mixing_column,
     mixing_matrix,
     phase_matrix,
     run_pipeline,
@@ -17,10 +20,26 @@ from hoggsat.hogg import (
     walsh_apply,
     walsh_hadamard,
 )
-from hoggsat.linalg import is_unitary
+from hoggsat.linalg import is_unitary, phase_aligned_error, popcount
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])
+
+
+def dense_verify_wgw(n, m, tol=1e-10):
+    """Reference for `verify_wgw`: the four checks on dense W, U and W diag(Gamma) W."""
+    w = walsh_hadamard(n)
+    gamma = gamma_matrix(n, m)
+    u = mixing_matrix(n, m)
+    err, phase = phase_aligned_error(w @ np.diag(gamma) @ w, u)
+    unitary = is_unitary(u, tol)
+    gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
+    involution = float(np.abs(w @ w - np.eye(2**n)).max())
+    return WgwReport(
+        n=n, m=m, max_abs_error=err, global_phase=phase, mixing_unitary=unitary,
+        gamma_modulus_error=gamma_mod, walsh_involution_error=involution,
+        passed=err <= tol and unitary and gamma_mod <= tol and involution <= tol,
+    )
 
 
 def all_one_sat_formulas(n):
@@ -54,6 +73,17 @@ class TestWalshHadamard:
             vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             assert np.allclose(walsh_apply(vec), walsh_hadamard(n) @ vec, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batched_butterfly_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        columns = rng.normal(size=(2**n, 3))
+        real = walsh_apply(columns)
+        assert real.dtype == np.float64
+        assert np.abs(real - walsh_hadamard(n) @ columns).max() < 1e-12
+        columns = columns + 1j * rng.normal(size=columns.shape)
+        assert np.abs(walsh_apply(columns) - walsh_hadamard(n) @ columns).max() < 1e-12
+        assert np.abs(walsh_apply(np.eye(2**n)) - walsh_hadamard(n)).max() < 1e-12
+
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             walsh_hadamard(0)
@@ -63,7 +93,7 @@ class TestWalshHadamard:
             walsh_apply(np.ones(3))
 
     def test_dense_cap(self):
-        for build in (walsh_hadamard, lambda n: mixing_matrix(n, 1)):
+        for build in (walsh_hadamard, lambda n: mixing_matrix(n, 1), lambda n: verify_wgw(n, 1)):
             with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
                 build(13)
         # the vector routes keep the formula model's range
@@ -126,6 +156,18 @@ class TestMixingMatrix:
     def test_odd_m_diagonal_entry(self):
         assert mixing_matrix(3, 3)[5, 5] == pytest.approx(2**-1.5, abs=1e-14)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_direct_formula_bit_for_bit(self, n):
+        idx = np.arange(2**n, dtype=np.uint32)
+        d = popcount(idx[:, None] ^ idx[None, :])
+        for m in range(0, n + 3):
+            if m % 2 == 0:
+                direct = (2 ** (-(n - 1) / 2) * np.cos((n - m + 1 - 2 * d) * np.pi / 4)).astype(complex)
+            else:
+                direct = 2 ** (-n / 2) * np.exp(1j * np.pi * (n - m) / 4) * (-1j) ** d
+            assert np.array_equal(mixing_matrix(n, m), direct), (n, m)
+            assert np.array_equal(mixing_column(n, m), direct[:, 0]), (n, m)
+
     def test_unitary_over_grid(self):
         for n in range(1, 7):
             for m in range(1, n + 1):
@@ -145,6 +187,44 @@ class TestWgwFactorization:
                 report = verify_wgw(n, m)
                 assert report.passed, (n, m, report.max_abs_error)
                 assert abs(abs(report.global_phase) - 1) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_reference(self, n):
+        for m in range(0, n + 3):
+            fast, dense = verify_wgw(n, m), dense_verify_wgw(n, m)
+            assert (fast.n, fast.m, fast.passed, fast.mixing_unitary) == (
+                dense.n, dense.m, dense.passed, dense.mixing_unitary), (n, m)
+            for field in ("max_abs_error", "global_phase", "gamma_modulus_error",
+                          "walsh_involution_error"):
+                assert abs(getattr(fast, field) - getattr(dense, field)) < 1e-12, (n, m, field)
+
+    def test_zero_and_excess_clause_counts_are_in_domain(self):
+        # the operators are defined for every m >= 0, including m = 0 and m > n
+        for n, m in ((3, 0), (2, 5), (1, 0), (4, 9)):
+            assert verify_wgw(n, m).passed, (n, m)
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_wgw(3, -1)
+
+    def test_flipped_gamma_entry_fails(self, monkeypatch):
+        def flipped(n, m):
+            gamma = gamma_matrix(n, m)
+            gamma[3] = -gamma[3]
+            return gamma
+
+        monkeypatch.setattr(hogg, "gamma_matrix", flipped)
+        report = verify_wgw(3, 3)
+        assert report.passed is False
+        assert report.max_abs_error > 0.1
+        assert report.gamma_modulus_error < 1e-12
+
+    def test_non_unitary_mixing_column_fails(self, monkeypatch):
+        def scaled(n, m):
+            return 1.01 * mixing_column(n, m)
+
+        monkeypatch.setattr(hogg, "mixing_column", scaled)
+        report = verify_wgw(3, 3)
+        assert report.mixing_unitary is False
+        assert report.passed is False
 
 
 class TestPipeline:

@@ -82,7 +82,9 @@ def phase_aligned_error(candidate: np.ndarray, reference: np.ndarray) -> tuple[f
     """Max elementwise |candidate - phase*reference| after global-phase alignment.
 
     The phase is the ratio of the two arrays at the largest-modulus entry of
-    the reference, normalized to unit modulus.  Returns (max_error, phase).
+    the reference, normalized to unit modulus.  When the candidate's entry
+    there is at rounding level (at most 1e-12 of the reference's), its phase
+    is noise and 1 is used instead.  Returns (max_error, phase).
     """
     candidate = np.asarray(candidate)
     reference = np.asarray(reference)
@@ -95,6 +97,6 @@ def phase_aligned_error(candidate: np.ndarray, reference: np.ndarray) -> tuple[f
         return float(np.abs(candidate).max()), 1.0 + 0j
     phase = candidate[idx] / ref_entry
     mod = abs(phase)
-    phase = phase / mod if mod > 0 else 1.0 + 0j
+    phase = phase / mod if mod > 1e-12 else 1.0 + 0j
     err = float(np.abs(candidate - phase * reference).max())
     return err, complex(phase)

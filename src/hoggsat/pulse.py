@@ -13,6 +13,8 @@ Notation (mirrors the usual NMR shorthand):
   first.  ``H = X^2 Y`` in this order is the Hadamard up to global phase.
 * Rotations are exp(-i*angle*sigma_axis/2), spin 1 is the most significant
   bit, and all equivalence checks align an explicit global phase.
+* A sequence unitary is the Kronecker product of per-spin products: each
+  spin's pulses are multiplied on their own, with no 2**n x 2**n product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from .formula import Formula, parse_assignment_bits, reverse_bits
 from .hogg import mixing_matrix, phase_matrix, walsh_hadamard
-from .linalg import check_dense_size, embed_single, phase_aligned_error, rotation
+from .linalg import (IDENTITY_2, check_dense_size, embed_single, kron_all, phase_aligned_error,
+                     rotation)
 from .spin_sim import CNot, Flip, three_spin_prep_scheme
 
 QUARTER_TURN = np.pi / 2
@@ -163,14 +166,19 @@ def parse_pulse_sequence(text: str) -> PulseSequence:
 
 
 def sequence_to_unitary(seq: PulseSequence, n: int) -> np.ndarray:
-    """Unitary of a sequence on n spins, rightmost pulse applied first."""
+    """Unitary of a sequence on n spins, rightmost pulse applied first.
+
+    Pulses on distinct spins commute, so each spin's pulses are multiplied
+    in written order and the n single-spin factors are joined by one
+    Kronecker product.
+    """
     check_dense_size(n)
-    out = np.eye(2**n, dtype=complex)
+    factors = [IDENTITY_2] * n
     for pulse in seq.pulses:
         if not 1 <= pulse.spin <= n:
             raise ValueError(f"pulse spin {pulse.spin} out of range for n={n}")
-        out = out @ embed_single(pulse.matrix(), pulse.spin, n)
-    return out
+        factors[pulse.spin - 1] = factors[pulse.spin - 1] @ pulse.matrix()
+    return kron_all(factors)
 
 
 # ---------------------------------------------------------------------------

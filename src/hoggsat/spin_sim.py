@@ -7,7 +7,8 @@ Conventions:
 
 * Single-spin operators use I_z = diag(1/2, -1/2) in the {|0>, |1>} basis.
 * A z-product term over a spin subset S carries the customary prefactor
-  2**(|S|-1), e.g. the three-spin term 4*I1z*I2z*I3z.
+  2**(|S|-1), e.g. the three-spin term 4*I1z*I2z*I3z.  Projecting onto
+  these terms is one Walsh-Hadamard transform of the diagonal.
 * Spin 1 is the most significant bit of a basis index (matches `formula`).
 * Gate sequences inside an `Experiment` are stored in application order:
   the first listed gate acts first.  NMR shorthand often writes gate
@@ -26,6 +27,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .hogg import walsh_apply
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_single, kron_all, popcount, rotation
 
 I_X = 0.5 * SIGMA_X
@@ -55,16 +57,6 @@ def z_product(spins, n: int) -> np.ndarray:
     return 2 ** (len(subset) - 1) * kron_all(mats)
 
 
-def z_product_diagonal(spins, n: int) -> np.ndarray:
-    """Diagonal of `z_product` without building the matrix."""
-    mask = 0
-    for k in set(spins):
-        mask |= 1 << (n - k)
-    idx = np.arange(2**n, dtype=np.uint32)
-    parity = popcount(idx & np.uint32(mask)) & 1
-    return 0.5 * np.where(parity, -1.0, 1.0)
-
-
 def thermal_state(n: int) -> np.ndarray:
     """Deviation matrix at thermal equilibrium: the sum of I_kz over all
     spins, with equal unit weights (homonuclear system).  Its diagonal is
@@ -87,20 +79,21 @@ def z_product_decomposition(rho: np.ndarray) -> tuple[dict[tuple[int, ...], floa
 
     Returns (coefficients keyed by spin subset, max |residual| of the part
     not spanned by z-products).  Every basis term has Tr(B^2) = 2**(n-2).
+    The diagonal of the term over S is (-1)**popcount(i AND mask(S)) / 2, so
+    the coefficients are the Walsh-Hadamard spectrum of the diagonal,
+    2**(1-n/2) * walsh_apply(diag)[mask(S)].
     """
     dim = rho.shape[0]
     n = dim.bit_length() - 1
     diag = np.real(np.diagonal(rho))
-    norm = 2.0 ** (n - 2)
+    spectrum = 2.0 ** (1 - n / 2) * walsh_apply(diag)
     coeffs: dict[tuple[int, ...], float] = {}
-    recon = np.zeros(dim)
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
-            basis_diag = z_product_diagonal(subset, n)
-            c = float(np.dot(diag, basis_diag) / norm)
-            coeffs[subset] = c
-            recon += c * basis_diag
-    residual = rho - np.diag(recon.astype(complex))
+            coeffs[subset] = float(spectrum[sum(1 << (n - k) for k in subset)])
+    # The z-products span the traceless real diagonal; what is left is the
+    # identity component, the imaginary diagonal and every off-diagonal entry.
+    residual = rho - np.diag(diag - diag.mean())
     return coeffs, float(np.abs(residual).max())
 
 
@@ -155,24 +148,21 @@ Gate = Union[CNot, Flip]
 
 def gate_unitary(gate: Gate, n: int) -> np.ndarray:
     """Permutation matrix of a CNot or Flip on n spins."""
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
+    source = np.arange(2**n)
     if isinstance(gate, CNot):
         if gate.control == gate.target:
             raise ValueError("control and target must differ")
         if not (1 <= gate.control <= n and 1 <= gate.target <= n):
             raise ValueError(f"gate {gate} out of range for n={n}")
-        for a in range(dim):
-            control_bit = (a >> (n - gate.control)) & 1
-            image = a ^ (control_bit << (n - gate.target))
-            mat[image, a] = 1.0
+        image = source ^ (((source >> (n - gate.control)) & 1) << (n - gate.target))
     elif isinstance(gate, Flip):
         if not 1 <= gate.spin <= n:
             raise ValueError(f"gate {gate} out of range for n={n}")
-        for a in range(dim):
-            mat[a ^ (1 << (n - gate.spin)), a] = 1.0
+        image = source ^ (1 << (n - gate.spin))
     else:
         raise TypeError(f"not a gate: {gate!r}")
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[image, source] = 1.0
     return mat
 
 

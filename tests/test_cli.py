@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -18,12 +19,12 @@ def run_cli(capsys, *argv):
 
 def count_calls(monkeypatch, module, name):
     """Wrap `module.name` under every hoggsat name bound to it; return the
-    list that records one entry per call."""
+    list that records the calling function's name once per call."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
     for namespace in (hoggsat, cli, hogg, linalg, pulse, spin_sim):
@@ -149,6 +150,13 @@ class TestPrep:
         assert code == 0
         assert len(calls) == len(spin_sim.three_spin_prep_scheme().experiments)
 
+    def test_popcount_only_in_thermal_state(self, capsys, monkeypatch):
+        # the z-product decomposition is one Walsh transform, not a popcount per term
+        calls = count_calls(monkeypatch, linalg, "popcount")
+        code, _, _ = run_cli(capsys, "prep", "3")
+        assert code == 0
+        assert calls == ["thermal_state"] * len(spin_sim.three_spin_prep_scheme().experiments)
+
 
 class TestCompare:
     @pytest.fixture
@@ -200,6 +208,13 @@ class TestPulse:
         code, out, _ = run_cli(capsys, "pulse", "verify", row.formula_text, row.sequence_text)
         assert code == 0
         assert "action on |000>: equivalent" in out
+
+    def test_verify_builds_no_embedded_pulse(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, linalg, "embed_single")
+        code, _, _ = run_cli(capsys, "pulse", "verify", "v1 & !v2 & v3 & !v4 & v5 & v6",
+                             "(XY~X)1 (XY~X~)2 (XY~X)3 (XY~X~)4 (XY~X)5 (XY~X)6")
+        assert code == 0
+        assert calls == []
 
     def test_verify_empty_sequence_fails(self, capsys):
         code, out, _ = run_cli(capsys, "pulse", "verify", "v1", "")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions
 from hoggsat.hogg import gamma_matrix, phase_matrix
-from hoggsat.linalg import is_unitary, phase_aligned_error
+from hoggsat.linalg import AXES, embed_single, is_unitary, phase_aligned_error
 from hoggsat.pulse import (
     EMPTY_SEQUENCE,
     NotTensorFactorable,
@@ -87,7 +87,24 @@ class TestParsing:
             assert parse_pulse_sequence(seq.to_text()) == seq
 
 
+def sequence_to_unitary_reference(seq, n):
+    """Dense reference for `sequence_to_unitary`: one embedded 2**n x 2**n
+    factor per pulse, multiplied in written order."""
+    out = np.eye(2**n, dtype=complex)
+    for pulse in seq.pulses:
+        out = out @ embed_single(pulse.matrix(), pulse.spin, n)
+    return out
+
+
 class TestSequenceUnitary:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_matches_embedded_product(self, n, data):
+        pulse = st.builds(Pulse, st.integers(1, n), st.sampled_from(AXES),
+                          st.floats(-2 * np.pi, 2 * np.pi))
+        seq = PulseSequence(tuple(data.draw(st.lists(pulse, max_size=12))))
+        assert np.abs(sequence_to_unitary(seq, n) - sequence_to_unitary_reference(seq, n)).max() <= 1e-12
+
     def test_hadamard_shorthand(self):
         # X^2 Y applied right to left is the Hadamard up to global phase
         seq = parse_pulse_sequence("X1^2 Y1")
@@ -280,6 +297,23 @@ class TestTableVerification:
     def test_search_unitary_is_unitary(self):
         for f in one_sat_formulas(3):
             assert is_unitary(search_unitary(f), tol=1e-10)
+
+
+class TestPhaseAlignment:
+    def test_rounding_level_entry_gives_unit_phase(self):
+        # the candidate's entry at the reference's largest entry is noise
+        reference = np.array([1.0, 0.5])
+        candidate = np.array([3e-17 * np.exp(0.7j), 1.0])
+        err, phase = phase_aligned_error(candidate, reference)
+        assert phase == 1
+        assert err == np.abs(candidate - reference).max()
+
+    def test_not_equivalent_orderings_report_the_same_phase(self):
+        f = parse_formula("v1 & v2 & v3")
+        results = [verify_table_sequence(f, parse_pulse_sequence(text)) for text in
+                   ("(XY~X)1 (XY~X~)2 (XY~X~)3", "(XY~X~)2 (XY~X)1 (XY~X~)3")]
+        assert [r.state_equivalent for r in results] == [False, False]
+        assert [r.state_global_phase for r in results] == [1, 1]
 
 
 class TestLoweredPrograms:

@@ -50,6 +50,34 @@ EXPERIMENT_TERMS = [
 ]
 
 
+def z_product_decomposition_reference(rho):
+    """Dense reference for `z_product_decomposition`: one inner product with
+    each z-product diagonal, then the residual of the reconstruction."""
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    diag = np.real(np.diagonal(rho))
+    coeffs = {}
+    recon = np.zeros(dim)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            basis_diag = np.real(np.diagonal(z_product(subset, n)))
+            coeffs[subset] = float(np.dot(diag, basis_diag) / 2.0 ** (n - 2))
+            recon += coeffs[subset] * basis_diag
+    return coeffs, float(np.abs(rho - np.diag(recon)).max())
+
+
+def gate_unitary_reference(gate, n):
+    """Loop reference for `gate_unitary`: one column per basis state."""
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    for a in range(2**n):
+        if isinstance(gate, CNot):
+            image = a ^ (((a >> (n - gate.control)) & 1) << (n - gate.target))
+        else:
+            image = a ^ (1 << (n - gate.spin))
+        mat[image, a] = 1.0
+    return mat
+
+
 def random_deviation_matrix(rng, n):
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     h = (a + a.conj().T) / 2
@@ -143,6 +171,13 @@ class TestGates:
             assert np.abs(out - out.conj().T).max() < 1e-10
             assert abs(np.trace(out)) < 1e-10
             assert np.abs(np.sort(np.linalg.eigvalsh(out)) - eigs).max() < 1e-10
+
+    def test_index_map_matches_loop(self):
+        for n in range(1, 6):
+            spins = range(1, n + 1)
+            gates = [Flip(k) for k in spins] + [CNot(c, t) for c, t in itertools.permutations(spins, 2)]
+            for gate in gates:
+                assert np.array_equal(gate_unitary(gate, n), gate_unitary_reference(gate, n)), gate
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
@@ -428,3 +463,20 @@ def test_gate_chains_preserve_deviation_invariants(n, data):
     assert np.abs(out - out.conj().T).max() < 1e-10
     assert abs(np.trace(out)) < 1e-10
     assert np.abs(np.sort(np.linalg.eigvalsh(out)) - eigs).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.data())
+def test_decomposition_matches_dense_reference(n, off_diagonal, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    diag = rng.normal(size=2**n)
+    diag += rng.uniform(0.5, 2.0) - diag.mean()  # nonzero trace
+    rho = np.diag(diag).astype(complex)
+    if off_diagonal:
+        h = random_deviation_matrix(rng, n)
+        rho += h - np.diag(np.diagonal(h))
+    coeffs, residual = z_product_decomposition(rho)
+    expected, expected_residual = z_product_decomposition_reference(rho)
+    assert list(coeffs) == list(expected)
+    assert max(abs(coeffs[s] - expected[s]) for s in expected) <= 1e-12
+    assert abs(residual - expected_residual) <= 1e-12

@@ -12,6 +12,7 @@ keys.  The exit code is 0 exactly when every requested check passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, is_dataclass, replace
@@ -29,13 +30,14 @@ from .formula import (
     solutions,
 )
 from .hogg import (
+    check_qubit_count,
     gamma_matrix,
     measure_distribution,
     phase_matrix,
     run_pipeline,
     verify_wgw,
 )
-from .linalg import check_dense_size, phase_aligned_error
+from .linalg import phase_aligned_error
 from .pulse import (
     NotTensorFactorable,
     PulseParseError,
@@ -190,7 +192,7 @@ def _cmd_verify(args) -> int:
         if args.n is None or args.m is None:
             raise SystemExit("verify: give N and M, or --all")
         pairs = [(args.n, args.m)]
-    check_dense_size(max(n for n, _ in pairs))
+    check_qubit_count(max(n for n, _ in pairs))  # reject a sweep before any pair runs
     checks = []
     for n, m in pairs:
         check = asdict(verify_wgw(n, m, tol))
@@ -450,7 +452,9 @@ def _cmd_spectrum(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--tolerance", type=float, default=None,

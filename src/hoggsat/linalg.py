@@ -31,7 +31,9 @@ _AXIS_MATRICES = {
 
 AXES = tuple(_AXIS_MATRICES)
 
-#: Largest n for which a dense 2**n x 2**n complex matrix (256 MiB at 12) is built.
+#: Largest n for which a dense 2**n x 2**n complex matrix (256 MiB at 12) is
+#: built: the sequence unitaries and `search_unitary` behind `pulse verify`
+#: and the `compile-*` round trips.
 MAX_DENSE_QUBITS = 12
 
 
@@ -71,11 +73,6 @@ def embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
     if not 1 <= spin <= n:
         raise ValueError(f"spin index {spin} out of range for {n} spins")
     return kron_all([op if k == spin else IDENTITY_2 for k in range(1, n + 1)])
-
-
-def is_unitary(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    dim = matrix.shape[0]
-    return bool(np.abs(matrix.conj().T @ matrix - np.eye(dim)).max() <= tol)
 
 
 def phase_aligned_error(candidate: np.ndarray, reference: np.ndarray) -> tuple[float, complex]:

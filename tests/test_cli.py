@@ -1,7 +1,10 @@
+import argparse
 import json
 import sys
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import hoggsat
@@ -92,11 +95,39 @@ class TestVerify:
         assert report["checks"][0]["wgw_error"] <= 1e-12
 
     def test_builds_no_dense_operator(self, capsys, monkeypatch):
-        calls = [count_calls(monkeypatch, module, name) for module, name in (
-            (hogg, "walsh_hadamard"), (hogg, "mixing_matrix"), (linalg, "is_unitary"))]
+        # the dense operators live in the tests' reference module only, and
+        # every butterfly verify runs transforms one vector
+        for module, name in ((hogg, "walsh_hadamard"), (hogg, "mixing_matrix"),
+                             (linalg, "is_unitary"), (spin_sim, "z_product")):
+            assert not hasattr(module, name) and not hasattr(hoggsat, name), name
+        original = hogg.walsh_apply
+        shapes = []
+
+        def recorded(vec):
+            shapes.append(np.shape(vec))
+            return original(vec)
+
+        monkeypatch.setattr(hogg, "walsh_apply", recorded)
         code, _, _ = run_cli(capsys, "verify", "3", "3")
         assert code == 0
-        assert [len(c) for c in calls] == [0, 0, 0]
+        assert shapes and set(shapes) == {(8,)}
+
+    def test_sweep_reaches_formula_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--all", "--max-n", "16")
+        assert code == 0
+        assert out.count("-> pass") == 16 * 17 // 2
+        assert "all passed" in out
+
+    def test_formula_cap_needs_no_dense_matrix(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "verify", "16", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # one dense 2**16 x 2**16 complex matrix takes 64 GiB
+        assert peak < 16 * 4**16 / 1024
 
     @pytest.mark.parametrize("n,m", [("3", "0"), ("2", "5")])
     def test_zero_and_excess_clause_counts_pass(self, capsys, n, m):
@@ -263,6 +294,12 @@ class TestSpectrum:
         assert code == 0
         assert "5.0000" in out and "-5.0000" in out
 
+    def test_reads_lines_from_the_diagonal(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, linalg, "embed_single")
+        code, _, _ = run_cli(capsys, "spectrum", "prep", "--spin", "2")
+        assert code == 0
+        assert calls == []
+
     def test_prepared_state_matches_ideal_target(self, capsys):
         # the built-in scheme prepares the exact pseudo-pure state, so its
         # spectrum equals the ideal one
@@ -272,17 +309,38 @@ class TestSpectrum:
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "16", "1"),
-    ("verify", "--all", "--max-n", "16"),
+    ("verify", "17", "1"),
+    ("verify", "--all", "--max-n", "17"),
     ("pulse", "compile-r", "v1 & v8 & v16"),
     ("pulse", "verify", "v16", ""),
 ])
-def test_dense_cap_rejects_before_allocating(capsys, argv):
+def test_dense_cap_rejects_before_allocating(capsys, monkeypatch, argv):
+    # verify has no dense route: it stops at the formula cap before any pair runs
+    pairs = count_calls(monkeypatch, hogg, "verify_wgw")
     start = time.perf_counter()
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "n=16 needs a dense 2**16 x 2**16 complex matrix" in err
+    if argv[0] == "verify":
+        assert "qubit count must be in [1, 16], got 17" in err
+        assert pairs == []
+    else:
+        assert "n=16 needs a dense 2**16 x 2**16 complex matrix" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run_cli(capsys, "verify", "1", "1")
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+    code, _, _ = run_cli(capsys, "verify", "1", "1")
+    assert code == 0
+    assert built == []
 
 
 def test_version_flag(capsys):

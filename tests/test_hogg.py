@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from hoggsat import hogg
 from hoggsat.formula import Clause, Formula, Literal, negate_variable, parse_formula, solutions
 from hoggsat.hogg import (
@@ -13,33 +14,16 @@ from hoggsat.hogg import (
     leading_phase_normalized,
     measure_distribution,
     mixing_column,
-    mixing_matrix,
     phase_matrix,
     run_pipeline,
     verify_wgw,
     walsh_apply,
-    walsh_hadamard,
 )
-from hoggsat.linalg import is_unitary, phase_aligned_error, popcount
+from hoggsat.linalg import popcount
+from reference import is_unitary, mixing_matrix, walsh_hadamard
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])
-
-
-def dense_verify_wgw(n, m, tol=1e-10):
-    """Reference for `verify_wgw`: the four checks on dense W, U and W diag(Gamma) W."""
-    w = walsh_hadamard(n)
-    gamma = gamma_matrix(n, m)
-    u = mixing_matrix(n, m)
-    err, phase = phase_aligned_error(w @ np.diag(gamma) @ w, u)
-    unitary = is_unitary(u, tol)
-    gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
-    involution = float(np.abs(w @ w - np.eye(2**n)).max())
-    return WgwReport(
-        n=n, m=m, max_abs_error=err, global_phase=phase, mixing_unitary=unitary,
-        gamma_modulus_error=gamma_mod, walsh_involution_error=involution,
-        passed=err <= tol and unitary and gamma_mod <= tol and involution <= tol,
-    )
 
 
 def all_one_sat_formulas(n):
@@ -85,18 +69,17 @@ class TestWalshHadamard:
         assert np.abs(walsh_apply(np.eye(2**n)) - walsh_hadamard(n)).max() < 1e-12
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            walsh_hadamard(0)
-        with pytest.raises(ValueError):
-            walsh_hadamard(17)
+        for n in (0, 17):
+            for build in (lambda n: mixing_column(n, 1), lambda n: verify_wgw(n, 1)):
+                with pytest.raises(ValueError, match=r"qubit count must be in \[1, 16\]"):
+                    build(n)
         with pytest.raises(ValueError):
             walsh_apply(np.ones(3))
 
     def test_dense_cap(self):
-        for build in (walsh_hadamard, lambda n: mixing_matrix(n, 1), lambda n: verify_wgw(n, 1)):
-            with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
-                build(13)
-        # the vector routes keep the formula model's range
+        # no hogg route is dense: verify_wgw and the pipeline reach the
+        # formula model's cap, past linalg.MAX_DENSE_QUBITS
+        assert verify_wgw(13, 1).passed
         assert gamma_matrix(16, 3).size == 2**16
         assert run_pipeline(parse_formula("v16")).size == 2**16
 
@@ -191,7 +174,7 @@ class TestWgwFactorization:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_dense_reference(self, n):
         for m in range(0, n + 3):
-            fast, dense = verify_wgw(n, m), dense_verify_wgw(n, m)
+            fast, dense = verify_wgw(n, m), reference.verify_wgw(n, m)
             assert (fast.n, fast.m, fast.passed, fast.mixing_unitary) == (
                 dense.n, dense.m, dense.passed, dense.mixing_unitary), (n, m)
             for field in ("max_abs_error", "global_phase", "gamma_modulus_error",
@@ -225,6 +208,29 @@ class TestWgwFactorization:
         report = verify_wgw(3, 3)
         assert report.mixing_unitary is False
         assert report.passed is False
+
+    @pytest.mark.parametrize("fault", ["scaled", "swapped"])
+    def test_probe_catches_broken_butterfly(self, monkeypatch, fault):
+        def broken(vec):
+            out = walsh_apply(vec)
+            if fault == "scaled":
+                return out * (1 + 1e-9)
+            out[[1, 2]] = out[[2, 1]]
+            return out
+
+        monkeypatch.setattr(hogg, "walsh_apply", broken)
+        report = verify_wgw(4, 2)
+        assert report.walsh_involution_error > hogg.OPERATOR_TOL
+        assert report.passed is False
+
+    def test_probe_is_seeded(self):
+        assert verify_wgw(9, 4) == verify_wgw(9, 4)
+
+    def test_formula_cap_passes_for_every_clause_count(self):
+        for m in range(0, 18):
+            report = verify_wgw(16, m)
+            assert report.passed, (m, report)
+            assert report.walsh_involution_error < 1e-13
 
 
 class TestPipeline:

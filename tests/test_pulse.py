@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions
 from hoggsat.hogg import gamma_matrix, phase_matrix
-from hoggsat.linalg import AXES, embed_single, is_unitary, phase_aligned_error
+from hoggsat.linalg import AXES, phase_aligned_error
 from hoggsat.pulse import (
     EMPTY_SEQUENCE,
     NotTensorFactorable,
@@ -25,6 +26,7 @@ from hoggsat.pulse import (
     verify_table_sequence,
 )
 from hoggsat.spin_sim import experiment_unitary, three_spin_prep_scheme
+from reference import is_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
@@ -87,15 +89,6 @@ class TestParsing:
             assert parse_pulse_sequence(seq.to_text()) == seq
 
 
-def sequence_to_unitary_reference(seq, n):
-    """Dense reference for `sequence_to_unitary`: one embedded 2**n x 2**n
-    factor per pulse, multiplied in written order."""
-    out = np.eye(2**n, dtype=complex)
-    for pulse in seq.pulses:
-        out = out @ embed_single(pulse.matrix(), pulse.spin, n)
-    return out
-
-
 class TestSequenceUnitary:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.data())
@@ -103,7 +96,7 @@ class TestSequenceUnitary:
         pulse = st.builds(Pulse, st.integers(1, n), st.sampled_from(AXES),
                           st.floats(-2 * np.pi, 2 * np.pi))
         seq = PulseSequence(tuple(data.draw(st.lists(pulse, max_size=12))))
-        assert np.abs(sequence_to_unitary(seq, n) - sequence_to_unitary_reference(seq, n)).max() <= 1e-12
+        assert np.abs(sequence_to_unitary(seq, n) - reference.sequence_to_unitary(seq, n)).max() <= 1e-12
 
     def test_hadamard_shorthand(self):
         # X^2 Y applied right to left is the Hadamard up to global phase
@@ -297,6 +290,15 @@ class TestTableVerification:
     def test_search_unitary_is_unitary(self):
         for f in one_sat_formulas(3):
             assert is_unitary(search_unitary(f), tol=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_search_unitary_matches_dense_product(self, n):
+        for f in one_sat_formulas(n):
+            assert np.abs(search_unitary(f) - reference.search_unitary(f)).max() <= 1e-12, str(f)
+
+    def test_search_unitary_dense_cap(self):
+        with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
+            search_unitary(parse_formula("v13"))
 
 
 class TestPhaseAlignment:

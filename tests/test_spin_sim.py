@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from hoggsat.spin_sim import (
     ALANINE,
     CNot,
@@ -36,10 +37,10 @@ from hoggsat.spin_sim import (
     target_pseudo_pure,
     thermal_state,
     three_spin_prep_scheme,
-    z_product,
     z_product_decomposition,
     zero_off_diagonal,
 )
+from reference import z_product
 
 # frozen product-operator decompositions of the three temporal-averaging
 # experiments (coefficients of 2**(|S|-1) * prod I_kz terms)
@@ -48,34 +49,6 @@ EXPERIMENT_TERMS = [
     {(1, 2, 3): 1.0, (2, 3): 1.0, (3,): -1.0},
     {(1, 3): 1.0, (1, 2): 1.0, (3,): 1.0},
 ]
-
-
-def z_product_decomposition_reference(rho):
-    """Dense reference for `z_product_decomposition`: one inner product with
-    each z-product diagonal, then the residual of the reconstruction."""
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    diag = np.real(np.diagonal(rho))
-    coeffs = {}
-    recon = np.zeros(dim)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            basis_diag = np.real(np.diagonal(z_product(subset, n)))
-            coeffs[subset] = float(np.dot(diag, basis_diag) / 2.0 ** (n - 2))
-            recon += coeffs[subset] * basis_diag
-    return coeffs, float(np.abs(rho - np.diag(recon)).max())
-
-
-def gate_unitary_reference(gate, n):
-    """Loop reference for `gate_unitary`: one column per basis state."""
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    for a in range(2**n):
-        if isinstance(gate, CNot):
-            image = a ^ (((a >> (n - gate.control)) & 1) << (n - gate.target))
-        else:
-            image = a ^ (1 << (n - gate.spin))
-        mat[image, a] = 1.0
-    return mat
 
 
 def random_deviation_matrix(rng, n):
@@ -177,7 +150,7 @@ class TestGates:
             spins = range(1, n + 1)
             gates = [Flip(k) for k in spins] + [CNot(c, t) for c, t in itertools.permutations(spins, 2)]
             for gate in gates:
-                assert np.array_equal(gate_unitary(gate, n), gate_unitary_reference(gate, n)), gate
+                assert np.array_equal(gate_unitary(gate, n), reference.gate_unitary(gate, n)), gate
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
@@ -476,7 +449,27 @@ def test_decomposition_matches_dense_reference(n, off_diagonal, data):
         h = random_deviation_matrix(rng, n)
         rho += h - np.diag(np.diagonal(h))
     coeffs, residual = z_product_decomposition(rho)
-    expected, expected_residual = z_product_decomposition_reference(rho)
+    expected, expected_residual = reference.z_product_decomposition(rho)
     assert list(coeffs) == list(expected)
     assert max(abs(coeffs[s] - expected[s]) for s in expected) <= 1e-12
     assert abs(residual - expected_residual) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_stick_spectrum_matches_rotated_reference(n, off_diagonal, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    rho = np.diag(rng.normal(size=2**n)).astype(complex)
+    if off_diagonal:
+        h = random_deviation_matrix(rng, n)
+        rho += h - np.diag(np.diagonal(h))
+    couplings = tuple((i, j, float(rng.uniform(-60, 60)))
+                      for i, j in itertools.combinations(range(1, n + 1), 2))
+    system = SpinSystem(n, tuple(rng.uniform(-2e4, 2e4, size=n)), couplings)
+    for spin in range(1, n + 1):
+        lines = stick_spectrum(rho, spin, system)
+        expected = reference.stick_spectrum(rho, spin, system)
+        assert len(lines) == len(expected) == 2 ** (n - 1)
+        for line, ref in zip(lines, expected):
+            assert abs(line.frequency_hz - ref.frequency_hz) <= 1e-12 * max(1.0, abs(ref.frequency_hz))
+            assert abs(line.amplitude - ref.amplitude) <= 1e-12

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .formula import (
-    FormulaParseError,
     assignment_bits,
     conflicts,
     parse_formula,
@@ -40,7 +39,6 @@ from .hogg import (
 from .linalg import phase_aligned_error
 from .pulse import (
     NotTensorFactorable,
-    PulseParseError,
     compile_diagonal,
     parse_pulse_sequence,
     prep_pulse_program,
@@ -50,8 +48,6 @@ from .pulse import (
 )
 from .spin_sim import (
     ALANINE,
-    SchemeParseError,
-    SpinSystemParseError,
     builtin_prep_scheme,
     error_metrics,
     experiment_unitary,
@@ -61,13 +57,11 @@ from .spin_sim import (
     parse_measured_vector,
     parse_prep_scheme,
     parse_spin_system,
-    prep_contributions,
-    run_prep_scheme,
+    prep_report,
+    pseudo_pure_populations,
     significant_terms,
     stick_spectrum,
-    target_pseudo_pure,
-    thermal_state,
-    z_product_decomposition,
+    thermal_populations,
 )
 
 DEFAULT_TOLERANCES = {
@@ -232,40 +226,30 @@ def _cmd_prep(args) -> int:
         scheme = builtin_prep_scheme(args.n)
         scheme_label = f"built-in {args.n}-spin temporal averaging"
     n = args.n
-    target = target_pseudo_pure(n)
-    contributions = prep_contributions(scheme, n)
-    experiments = []
-    for idx, (experiment, rho) in enumerate(zip(scheme.experiments, contributions), start=1):
-        coeffs, z_residual = z_product_decomposition(rho)
-        gate_names = " ".join(str(g) for g in experiment.gates) or "E"
-        if experiment.tip_spins:
-            gate_names += "".join(f" TIP{s}" for s in experiment.tip_spins)
-        experiments.append({
-            "index": idx,
-            "gates": gate_names,
-            "terms": format_z_terms(coeffs),
-            "coefficients": {"".join(map(str, k)): v for k, v in significant_terms(coeffs).items()},
-            "non_z_residual": z_residual,
-        })
-    total = sum(contributions)
-    residual = float(np.abs(total - target).max())
-    off_diag = float(np.abs(total - np.diag(np.diagonal(total))).max())
+    result = prep_report(scheme, n)
+    passed = result.max_residual <= tol
+    experiments = [{
+        "index": idx,
+        "gates": str(experiment),
+        "terms": format_z_terms(coeffs),
+        "coefficients": {"".join(map(str, k)): v for k, v in significant_terms(coeffs).items()},
+        "non_z_residual": non_z,
+    } for idx, (experiment, (coeffs, non_z)) in enumerate(zip(scheme.experiments, result.experiments), 1)]
     params = _load_params(args)
     if params is None and n == ALANINE.n:
         params = ALANINE
     lint_ran = params is not None
     warnings = lint_scheme(scheme, params) if lint_ran else []
-    passed = residual <= tol
     report = _base_report(args, "prep")
     report.update({
         "scheme": scheme_label,
         "n": n,
         "gradient": scheme.gradient,
         "experiments": experiments,
-        "sum_diagonal": [float(x) for x in np.real(np.diagonal(total))],
-        "sum_off_diagonal_max": off_diag,
-        "target_diagonal": [float(x) for x in np.real(np.diagonal(target))],
-        "max_residual": residual,
+        "sum_diagonal": result.sum_diagonal,
+        "sum_off_diagonal_max": result.sum_off_diagonal_max,
+        "target_diagonal": pseudo_pure_populations(n),
+        "max_residual": result.max_residual,
         "tolerance": tol,
         "passed": passed,
         "lint_ran": lint_ran,
@@ -276,10 +260,10 @@ def _cmd_prep(args) -> int:
     for e in experiments:
         lines.append(f"experiment {e['index']} ({e['gates']}): {e['terms']}")
     lines.append("sum diagonal:    " + " ".join(_fmt(x) for x in report["sum_diagonal"]))
-    if off_diag > 1e-15:
-        lines.append(f"sum off-diagonal content: max |entry| {_fmt(off_diag)}")
+    if result.sum_off_diagonal_max > 1e-15:
+        lines.append(f"sum off-diagonal content: max |entry| {_fmt(result.sum_off_diagonal_max)}")
     lines.append("target diagonal: " + " ".join(_fmt(x) for x in report["target_diagonal"]))
-    lines.append(f"max residual vs pseudo-pure target: {_fmt(residual)} "
+    lines.append(f"max residual vs pseudo-pure target: {_fmt(result.max_residual)} "
                  f"({'pass' if passed else 'FAIL'} at tolerance {_fmt(tol)})")
     for w in warnings:
         lines.append(f"lint: {w}")
@@ -425,12 +409,12 @@ def _cmd_spectrum(args) -> int:
     params = _load_params(args) or ALANINE
     n = params.n
     if args.state == "pseudo-pure":
-        rho = target_pseudo_pure(n)
+        populations = pseudo_pure_populations(n)
     elif args.state == "thermal":
-        rho = thermal_state(n)
+        populations = thermal_populations(n)
     else:
-        rho = run_prep_scheme(builtin_prep_scheme(n), n)
-    lines_data = stick_spectrum(rho, args.spin, params)
+        populations = prep_report(builtin_prep_scheme(n), n).sum_diagonal
+    lines_data = stick_spectrum(populations, args.spin, params)
     report = _base_report(args, "spectrum")
     report.update({
         "state": args.state,
@@ -532,8 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormulaParseError, PulseParseError, SchemeParseError, SpinSystemParseError,
-            NotTensorFactorable, ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # every parse and size error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # usage errors raised inside commands

@@ -449,6 +449,5 @@ def prep_pulse_program(n: int = 3) -> list[LoweredProgram]:
         elements: list[ProgramElement] = []
         for gate in experiment.gates:
             elements.extend(lower_gate(gate))
-        gate_names = " ".join(str(g) for g in experiment.gates) or "E"
-        programs.append(LoweredProgram(f"experiment {index}: {gate_names}", tuple(elements)))
+        programs.append(LoweredProgram(f"experiment {index}: {experiment}", tuple(elements)))
     return programs

@@ -1,90 +1,116 @@
-"""NMR ensemble layer: deviation density matrices in the product-operator
-picture, permutation-gate preambles for temporal-averaging pseudo-pure state
+"""NMR ensemble layer: deviation states in the product-operator picture,
+permutation-gate preambles for temporal-averaging pseudo-pure state
 preparation, diagonal tomography readout, error metrics, and first-order
 stick spectra.
 
 Conventions:
 
 * Single-spin operators use I_z = diag(1/2, -1/2) in the {|0>, |1>} basis.
+* A diagonal deviation state (thermal, pseudo-pure target, gradient-on
+  contribution) is computed as its populations, a real vector of 2**n
+  entries, up to the formula cap n = 16.  Dense deviation matrices, under
+  `linalg.check_dense_size`, come only from `@gradient off` schemes and
+  `thermal_state`, `target_pseudo_pure` and `run_prep_scheme`; readers
+  take either form.
 * A z-product term over a spin subset S carries the customary prefactor
-  2**(|S|-1), e.g. the three-spin term 4*I1z*I2z*I3z.  Projecting onto
-  these terms is one Walsh-Hadamard transform of the diagonal; the dense
-  z-product matrices are kept only as test references.
+  2**(|S|-1), e.g. the three-spin term 4*I1z*I2z*I3z.  Projecting
+  populations onto these terms is one Walsh-Hadamard transform.
 * A stick-spectrum line's amplitude after the ideal pi/2 y readout is the
-  population difference of its two levels, so spectra are read from the
-  diagonal.  The dense operators built here are the experiments' gate and
-  tip unitaries and the deviation matrices they conjugate.
+  population difference of its two levels.
 * Spin 1 is the most significant bit of a basis index (matches `formula`).
 * Gate sequences inside an `Experiment` are stored in application order:
   the first listed gate acts first.  NMR shorthand often writes gate
   strings right to left instead; the built-in scheme constructors perform
   that conversion and say so.
 * The ideal field-gradient model zeroes all off-diagonal elements of an
-  experiment's contribution before it enters the temporal-averaging sum.
+  experiment's contribution before it enters the temporal-averaging sum
+  (Knill, Chuang & Laflamme, PRA 57, 3348 (1998)), so a gradient-on
+  contribution is the thermal populations permuted by the gates and mixed
+  pairwise by the tips (`run_experiment`).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
-from .hogg import walsh_apply
-from .linalg import embed_single, popcount, rotation
-
-MAX_SPINS = 8
+from .hogg import check_qubit_count, walsh_apply
+from .linalg import check_dense_size, embed_single, popcount, rotation
 
 
-def _check_spins(n: int) -> None:
-    if not 1 <= n <= MAX_SPINS:
-        raise ValueError(f"spin count must be in [1, {MAX_SPINS}], got {n}")
+def _as_populations(state) -> tuple[np.ndarray, float, int]:
+    """Populations, largest coherence and n of a deviation state: a vector of
+    2**n populations, or a 2**n x 2**n matrix (its real diagonal)."""
+    state, coherence = np.asarray(state), 0.0
+    if state.ndim == 2 and state.shape[0] == state.shape[1]:
+        coherence = float(np.abs(state - np.diag(state.diagonal())).max())
+        state = state.diagonal().real
+    populations = np.asarray(state, dtype=float)
+    if populations.ndim != 1 or populations.size & (populations.size - 1) or not populations.size:
+        raise ValueError(f"a deviation state needs 2**n populations, got shape {populations.shape}")
+    return populations, coherence, populations.size.bit_length() - 1
+
+
+def _spin_bit(spin: int, n: int, what: str) -> int:
+    """Bit of `spin` in a basis index; rejects a spin outside [1, n]."""
+    if not 1 <= spin <= n:
+        raise ValueError(f"{what} out of range for n={n}")
+    return 1 << (n - spin)
 
 
 # ---------------------------------------------------------------------------
 # reference states and the z-product decomposition
 # ---------------------------------------------------------------------------
 
-def thermal_state(n: int) -> np.ndarray:
-    """Deviation matrix at thermal equilibrium: the sum of I_kz over all
-    spins, with equal unit weights (homonuclear system).  Its diagonal is
-    n/2 - popcount(i)."""
-    _check_spins(n)
-    return np.diag(n / 2 - popcount(np.arange(2**n))).astype(complex)
+def thermal_populations(n: int) -> np.ndarray:
+    """Populations at thermal equilibrium: the sum of I_kz over all spins,
+    with equal unit weights (homonuclear system), n/2 - popcount(i)."""
+    check_qubit_count(n)
+    return n / 2 - popcount(np.arange(2**n))
 
 
-def target_pseudo_pure(n: int) -> np.ndarray:
-    """Deviation matrix of the pseudo-pure state |00...0>: the sum of the
+def pseudo_pure_populations(n: int) -> np.ndarray:
+    """Populations of the pseudo-pure state |00...0>: the sum of the
     2**n - 1 z-product terms, 2**(n-1) (|0..0><0..0| - I/2**n)."""
-    _check_spins(n)
-    out = np.diag(np.full(2**n, -0.5)).astype(complex)
-    out[0, 0] += 2 ** (n - 1)
+    check_qubit_count(n)
+    out = np.full(2**n, -0.5)
+    out[0] += 2 ** (n - 1)
     return out
 
 
-def z_product_decomposition(rho: np.ndarray) -> tuple[dict[tuple[int, ...], float], float]:
-    """Project a deviation matrix onto the z-product basis.
+def thermal_state(n: int) -> np.ndarray:
+    """Dense diag(thermal_populations(n)), n <= 12."""
+    check_dense_size(n)
+    return np.diag(thermal_populations(n)).astype(complex)
 
-    Returns (coefficients keyed by spin subset, max |residual| of the part
-    not spanned by z-products).  Every basis term has Tr(B^2) = 2**(n-2).
-    The diagonal of the term over S is (-1)**popcount(i AND mask(S)) / 2, so
-    the coefficients are the Walsh-Hadamard spectrum of the diagonal,
-    2**(1-n/2) * walsh_apply(diag)[mask(S)].
+
+def target_pseudo_pure(n: int) -> np.ndarray:
+    """Dense diag(pseudo_pure_populations(n)), n <= 12."""
+    check_dense_size(n)
+    return np.diag(pseudo_pure_populations(n)).astype(complex)
+
+
+def z_product_decomposition(state) -> tuple[dict[tuple[int, ...], float], float]:
+    """Project a deviation state onto the z-product basis.
+
+    Returns (coefficients keyed by spin subset, max of |identity component|
+    and largest coherence, the parts no z-product spans).  Every basis
+    term has Tr(B^2) = 2**(n-2).  The diagonal of the term over S is
+    (-1)**popcount(i AND mask(S)) / 2, so the coefficients are the
+    Walsh-Hadamard spectrum, 2**(1-n/2) * walsh_apply(populations)[mask(S)].
     """
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    diag = np.real(np.diagonal(rho))
-    spectrum = 2.0 ** (1 - n / 2) * walsh_apply(diag)
+    populations, coherence, n = _as_populations(state)
+    spectrum = 2.0 ** (1 - n / 2) * walsh_apply(populations)
     coeffs: dict[tuple[int, ...], float] = {}
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
             coeffs[subset] = float(spectrum[sum(1 << (n - k) for k in subset)])
-    # The z-products span the traceless real diagonal; what is left is the
-    # identity component, the imaginary diagonal and every off-diagonal entry.
-    residual = rho - np.diag(diag - diag.mean())
-    return coeffs, float(np.abs(residual).max())
+    return coeffs, max(float(abs(populations.mean())), coherence)
 
 
 def significant_terms(coeffs: dict[tuple[int, ...], float],
@@ -136,31 +162,20 @@ class Flip:
 Gate = Union[CNot, Flip]
 
 
-def gate_unitary(gate: Gate, n: int) -> np.ndarray:
-    """Permutation matrix of a CNot or Flip on n spins."""
+def gate_image(gate: Gate, n: int) -> np.ndarray:
+    """Index map of a CNot or Flip on n spins: the gate sends basis state i
+    to image[i].  Both gates are involutions, so the map is its own inverse
+    and `populations[image]` are the populations after the gate."""
     source = np.arange(2**n)
     if isinstance(gate, CNot):
         if gate.control == gate.target:
             raise ValueError("control and target must differ")
-        if not (1 <= gate.control <= n and 1 <= gate.target <= n):
-            raise ValueError(f"gate {gate} out of range for n={n}")
-        image = source ^ (((source >> (n - gate.control)) & 1) << (n - gate.target))
-    elif isinstance(gate, Flip):
-        if not 1 <= gate.spin <= n:
-            raise ValueError(f"gate {gate} out of range for n={n}")
-        image = source ^ (1 << (n - gate.spin))
-    else:
-        raise TypeError(f"not a gate: {gate!r}")
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    mat[image, source] = 1.0
-    return mat
-
-
-def apply_gate(rho: np.ndarray, gate: Gate) -> np.ndarray:
-    """Conjugate a deviation matrix by a permutation gate."""
-    n = rho.shape[0].bit_length() - 1
-    g = gate_unitary(gate, n)
-    return g @ rho @ g.conj().T
+        control = _spin_bit(gate.control, n, f"gate {gate}")
+        target = _spin_bit(gate.target, n, f"gate {gate}")
+        return np.where(source & control, source ^ target, source)
+    if isinstance(gate, Flip):
+        return source ^ _spin_bit(gate.spin, n, f"gate {gate}")
+    raise TypeError(f"not a gate: {gate!r}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +191,9 @@ class Experiment:
     gates: tuple[Gate, ...] = ()
     tip_spins: tuple[int, ...] = ()
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.gates and not self.tip_spins
+    def __str__(self) -> str:
+        """Gates then tips, as in ``CN12 N3 TIP6``; ``E`` stands for no gates."""
+        return (" ".join(map(str, self.gates)) or "E") + "".join(f" TIP{s}" for s in self.tip_spins)
 
 
 @dataclass(frozen=True)
@@ -225,6 +240,7 @@ def four_spin_prep_scheme() -> PrepScheme:
 
 
 def builtin_prep_scheme(n: int) -> PrepScheme:
+    check_qubit_count(n)
     if n == 3:
         return three_spin_prep_scheme()
     if n == 4:
@@ -232,39 +248,83 @@ def builtin_prep_scheme(n: int) -> PrepScheme:
     raise ValueError(f"no built-in preparation scheme for n={n}")
 
 
-def zero_off_diagonal(rho: np.ndarray) -> np.ndarray:
-    """Ideal gradient crusher: keep only the diagonal."""
-    return np.diag(np.diagonal(rho)).astype(complex)
+def _tip(populations: np.ndarray, spin: int, count: int, n: int) -> np.ndarray:
+    """Populations after `count` pi/2 y tips on `spin` and the crusher: each
+    level passes sin(count*pi/4)**2 of its population to its partner across
+    the spin's bit, an exact half (a + b) / 2 for odd counts, all of it for
+    2 (mod 4), none for 0 (mod 4)."""
+    partner = populations[np.arange(2**n) ^ _spin_bit(spin, n, f"TIP{spin}")]
+    if count % 2:
+        return (populations + partner) / 2
+    return partner if count % 4 == 2 else populations
+
+
+def run_experiment(experiment: Experiment, n: int) -> np.ndarray:
+    """Populations of one experiment's gradient-on contribution: the thermal
+    populations permuted by the gates in application order, then mixed by
+    the tips (tips on different spins commute)."""
+    populations = thermal_populations(n)
+    for gate in experiment.gates:
+        populations = populations[gate_image(gate, n)]
+    for spin, count in Counter(experiment.tip_spins).items():
+        populations = _tip(populations, spin, count, n)
+    return populations
 
 
 def experiment_unitary(experiment: Experiment, n: int) -> np.ndarray:
-    """Unitary of one experiment's gate chain (tips included), gates in
-    application order."""
+    """Dense unitary of one experiment's gate chain (tips included), gates in
+    application order; a gate permutes the rows."""
+    check_dense_size(n)
     out = np.eye(2**n, dtype=complex)
     for gate in experiment.gates:
-        out = gate_unitary(gate, n) @ out
+        out = out[gate_image(gate, n)]
     for spin in experiment.tip_spins:
         out = embed_single(rotation("y", np.pi / 2), spin, n) @ out
     return out
 
 
-def run_experiment(experiment: Experiment, n: int) -> np.ndarray:
-    """Deviation matrix after one experiment's gates (and tips) act on the
-    thermal state.  No gradient is applied here."""
-    g = experiment_unitary(experiment, n)
-    return g @ thermal_state(n) @ g.conj().T
+def _contributions(scheme: PrepScheme, n: int):
+    """Yield each experiment's contribution to the temporal-averaging sum on
+    the route the scheme's gradient flag picks: with the gradient on, its
+    populations (`run_experiment`); with it off, where a tip leaves
+    coherences, the dense deviation matrix U rho U^H."""
+    for experiment in scheme.experiments:
+        if scheme.gradient:
+            yield run_experiment(experiment, n)
+        else:
+            u = experiment_unitary(experiment, n)
+            yield (u * thermal_populations(n)) @ u.conj().T
 
 
-def prep_contributions(scheme: PrepScheme, n: int) -> list[np.ndarray]:
-    """Each experiment's deviation matrix as it enters the temporal-averaging
-    sum: after the gradient model when the scheme's gradient flag is set."""
-    rhos = [run_experiment(experiment, n) for experiment in scheme.experiments]
-    return [zero_off_diagonal(rho) for rho in rhos] if scheme.gradient else rhos
+class PrepReport(NamedTuple):
+    """Each experiment's `z_product_decomposition`, and the temporal-averaging
+    sum: its populations, its largest coherence (0 with the gradient on) and
+    its largest deviation from the pseudo-pure target, coherences included."""
+
+    experiments: tuple[tuple[dict[tuple[int, ...], float], float], ...]
+    sum_diagonal: np.ndarray
+    sum_off_diagonal_max: float
+    max_residual: float
+
+
+def prep_report(scheme: PrepScheme, n: int) -> PrepReport:
+    """Decompose each experiment's contribution into z-product terms and
+    compare their sum with the pseudo-pure target."""
+    experiments, total = [], 0.0
+    for contribution in _contributions(scheme, n):
+        experiments.append(z_product_decomposition(contribution))
+        total = total + contribution
+    populations, coherence, _ = _as_populations(total)
+    residual = max(float(np.abs(populations - pseudo_pure_populations(n)).max()), coherence)
+    return PrepReport(tuple(experiments), populations, coherence, residual)
 
 
 def run_prep_scheme(scheme: PrepScheme, n: int) -> np.ndarray:
-    """Sum the experiments' contributions (see `prep_contributions`)."""
-    return sum(prep_contributions(scheme, n), np.zeros((2**n, 2**n), dtype=complex))
+    """Deviation matrix of the temporal-averaging sum, n <= 12; with the
+    gradient on, the diagonal matrix of the summed populations."""
+    check_dense_size(n)
+    total = sum(_contributions(scheme, n))
+    return total if total.ndim == 2 else np.diag(total).astype(complex)
 
 
 class SchemeParseError(ValueError):
@@ -344,8 +404,8 @@ class TomographyResult:
     low_contrast: bool
 
 
-def diag_tomography(rho: np.ndarray) -> TomographyResult:
-    diag = np.real(np.diagonal(rho)).astype(float)
+def diag_tomography(state) -> TomographyResult:
+    diag, _, _ = _as_populations(state)
     lo = float(diag.min())
     hi = float(diag.max())
     if hi - lo < 1e-12:
@@ -512,27 +572,24 @@ class SpectralLine(NamedTuple):
     amplitude: float
 
 
-def stick_spectrum(rho: np.ndarray, spin: int, system: SpinSystem) -> list[SpectralLine]:
+def stick_spectrum(state, spin: int, system: SpinSystem) -> list[SpectralLine]:
     """First-order stick spectrum of one spin after an ideal pi/2 y readout.
 
     Each single-quantum transition (low, high) of the chosen spin gives a
     line at shift + sum over partners of +-J/2 (a partner in |0> shifts by
     +J/2), with amplitude twice the real part of the coherence element the
-    readout creates.  For a Hermitian rho that element's real part is
-    (rho[low, low] - rho[high, high]) / 2, so the amplitudes come from the
-    diagonal and no rotated matrix is formed.  Lines with negligible
-    amplitude are dropped.
+    readout creates.  For a Hermitian deviation matrix that element's real
+    part is (rho[low, low] - rho[high, high]) / 2, so the amplitude is the
+    population difference of the two levels and coherences do not enter.
+    Lines with negligible amplitude are dropped.
     """
-    n = rho.shape[0].bit_length() - 1
-    if n != system.n:
-        raise ValueError(f"matrix is for {n} spins but the system has {system.n}")
-    if not 1 <= spin <= n:
-        raise ValueError(f"spin {spin} out of range for n={n}")
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
+    if np.ndim(state) == 2 and np.abs(state - np.conj(state).T).max() > 1e-9:
         raise ValueError("deviation matrix must be Hermitian")
-    populations = np.real(np.diagonal(rho))
+    populations, _, n = _as_populations(state)
+    if n != system.n:
+        raise ValueError(f"state is for {n} spins but the system has {system.n}")
+    bit = _spin_bit(spin, n, f"spin {spin}")
     partners = [k for k in range(1, n + 1) if k != spin]
-    bit = 1 << (n - spin)
     lines = []
     for low in range(2**n):
         amplitude = float(populations[low] - populations[low | bit])
@@ -589,7 +646,9 @@ MEASURED_PREP_DIAG = (1.000, 0.0314, -0.0291, -0.0032, 0.0520, 0.0114, -0.0535, 
 #: single-step search, one per three-clause formula.  Note: these vectors are
 #: transcribed with spin 3 as the most significant bit, the reverse of this
 #: package's indexing, so the dominant entry of formula f sits at index
-#: reverse_bits(solution(f), 3).
+#: reverse_bits(solution(f), 3).  The ``!v1 & !v2 & !v3`` row equals
+#: MEASURED_PREP_DIAG entry for entry: unconfirmed, possibly a transcription
+#: duplicate (that formula's ideal output is the prepared |000> itself).
 MEASURED_SEARCH_DIAGS = {
     "v1 & v2 & v3": (-0.0190, 0.0297, -0.0582, 0.0631, -0.0072, 0.0416, -0.0800, 1.0000),
     "!v1 & v2 & v3": (0.0087, -0.0074, 0.0959, -0.0845, 0.0105, -0.0056, 1.0000, -0.0393),

@@ -1,9 +1,10 @@
 """Dense reference operators for the test suite.
 
-The library builds the search operators from butterflies and diagonals and
-reads spectra and z-product terms off the diagonal; the functions here form
-the same objects as whole 2**n x 2**n matrices, the obvious way, so the
-fast routes can be checked against them.  Keep n small.
+The library builds the search operators from butterflies and diagonals,
+keeps diagonal deviation states as population vectors and reads spectra and
+z-product terms off the populations; the functions here form the same
+objects as whole 2**n x 2**n matrices, the obvious way, so the fast routes
+can be checked against them.  Keep n small.
 """
 
 import itertools
@@ -91,6 +92,24 @@ def gate_unitary(gate, n):
             image = a ^ (1 << (n - gate.spin))
         mat[image, a] = 1.0
     return mat
+
+
+def run_experiment(experiment, n):
+    """Dense deviation matrix after one experiment's gates and tips act on
+    the thermal state: a product of gate and tip matrices conjugating
+    diag(n/2 - popcount(i)).  No gradient is applied here."""
+    g = np.eye(2**n, dtype=complex)
+    for gate in experiment.gates:
+        g = gate_unitary(gate, n) @ g
+    for spin in experiment.tip_spins:
+        g = embed_single(rotation("y", np.pi / 2), spin, n) @ g
+    thermal = np.diag(n / 2 - popcount(np.arange(2**n))).astype(complex)
+    return g @ thermal @ g.conj().T
+
+
+def zero_off_diagonal(rho):
+    """Ideal gradient crusher: keep only the diagonal."""
+    return np.diag(np.diagonal(rho)).astype(complex)
 
 
 def sequence_to_unitary(seq, n):

@@ -34,10 +34,10 @@ from hoggsat.pulse import THREE_SPIN_TABLE, parse_pulse_sequence, verify_table_s
 from hoggsat.spin_sim import (
     MEASURED_PREP_DIAG,
     MEASURED_SEARCH_DIAGS,
-    apply_gate,
     CNot,
     Flip,
     error_metrics,
+    gate_image,
     ideal_population_vector,
     parse_measured_vector,
     run_experiment,
@@ -203,9 +203,13 @@ def test_criterion_07_error_metric_reproduction():
     ok = ok and min(row_values.values()) == 0.0535 and max(row_values.values()) == 0.157
     ok = ok and exceeding == ["!v1 & v2 & v3", "!v1 & !v2 & v3"]
     listing = ", ".join(f"{v:.4f}" for v in row_values.values())
+    duplicate = MEASURED_SEARCH_DIAGS["!v1 & !v2 & !v3"] == MEASURED_PREP_DIAG
     announce(7, ok,
              f"prepared-state metric 0.0535 (<6%); per-row metrics {listing} "
-             f"(range 0.0535-0.157; rows above 0.09 carry that in the data itself)")
+             f"(range 0.0535-0.157; rows above 0.09 carry that in the data itself)"
+             + ("; the !v1 & !v2 & !v3 row equals the prepared-state readout entry for "
+                "entry, an unconfirmed possible transcription duplicate kept in the gate"
+                if duplicate else ""))
 
 
 def test_criterion_08_unstructured_search_comparison():
@@ -239,19 +243,20 @@ def test_criterion_10_property_suites():
     for f in all_one_sat_formulas(4):
         unitary_ok &= bool(np.abs(np.abs(phase_matrix(f)) - 1).max() <= 1e-10)
 
-    # Hermiticity and trace preservation under gate conjugation
+    # gate conjugation of a diagonal state permutes its populations: the
+    # trace and the spectrum (the sorted populations) are preserved
     rng = np.random.default_rng(2026)
     conjugation_ok = True
     for n in (2, 3, 4):
-        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        rho = (a + a.conj().T) / 2
-        rho -= np.trace(rho) / 2**n * np.eye(2**n)
-        eigs = np.sort(np.linalg.eigvalsh(rho))
+        populations = rng.normal(size=2**n)
+        populations -= populations.mean()
+        out = populations
         for gate in (CNot(1, n), Flip(1), CNot(n, 1), Flip(n)):
-            rho = apply_gate(rho, gate)
-        conjugation_ok &= bool(np.abs(rho - rho.conj().T).max() <= 1e-10)
-        conjugation_ok &= bool(abs(np.trace(rho)) <= 1e-10)
-        conjugation_ok &= bool(np.abs(np.sort(np.linalg.eigvalsh(rho)) - eigs).max() <= 1e-9)
+            image = gate_image(gate, n)
+            conjugation_ok &= bool(np.array_equal(np.sort(image), np.arange(2**n)))
+            out = out[image]
+        conjugation_ok &= bool(abs(out.sum()) <= 1e-10)
+        conjugation_ok &= bool(np.array_equal(np.sort(out), np.sort(populations)))
 
     # Walsh-Hadamard involution
     involution_ok = all(

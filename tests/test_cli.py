@@ -186,7 +186,51 @@ class TestPrep:
         calls = count_calls(monkeypatch, linalg, "popcount")
         code, _, _ = run_cli(capsys, "prep", "3")
         assert code == 0
-        assert calls == ["thermal_state"] * len(spin_sim.three_spin_prep_scheme().experiments)
+        assert calls == ["thermal_populations"] * len(spin_sim.three_spin_prep_scheme().experiments)
+
+
+    @pytest.mark.parametrize("gradient", ["on", "off"])
+    @pytest.mark.parametrize("line", ["CN12 TIP0", "CN12 TIP9", "CN14"])
+    def test_out_of_range_spin_exits_2(self, capsys, tmp_path, line, gradient):
+        scheme = tmp_path / "bad.scheme"
+        scheme.write_text(f"@gradient {gradient}\n{line}\n")
+        code, out, err = run_cli(capsys, "prep", "3", "--scheme", str(scheme))
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err and "Traceback" not in err
+
+    def test_gradient_on_reaches_the_formula_cap(self, capsys, tmp_path):
+        scheme = tmp_path / "tip.scheme"
+        scheme.write_text("CN12 TIP9 TIP9\nN3 TIP1\n")
+        code, out, _ = run_cli(capsys, "prep", "16", "--scheme", str(scheme), "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert len(report["sum_diagonal"]) == 2**16
+        assert report["sum_off_diagonal_max"] == 0.0
+        code, _, err = run_cli(capsys, "prep", "17", "--scheme", str(scheme))
+        assert code == 2
+        assert "qubit count must be in [1, 16], got 17" in err
+        code, _, err = run_cli(capsys, "prep", "17")
+        assert code == 2
+        assert "qubit count must be in [1, 16], got 17" in err
+
+    def test_gradient_off_is_dense_capped(self, capsys, tmp_path):
+        scheme = tmp_path / "off.scheme"
+        scheme.write_text("@gradient off\nCN12 TIP3\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "prep", "13", "--scheme", str(scheme))
+        assert code == 2
+        assert out == ""
+        assert "n=13 needs a dense 2**13 x 2**13 complex matrix" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_gradient_off_reports_coherences(self, capsys, tmp_path):
+        scheme = tmp_path / "off.scheme"
+        scheme.write_text("@gradient off\nE\nCN12 TIP3\n")
+        code, out, _ = run_cli(capsys, "prep", "3", "--scheme", str(scheme))
+        assert code == 1
+        assert "sum off-diagonal content: max |entry| 0.5" in out
+        assert "experiment 2 (CN12 TIP3): 2I1zI2z + I1z" in out
 
 
 class TestCompare:

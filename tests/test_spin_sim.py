@@ -18,27 +18,28 @@ from hoggsat.spin_sim import (
     SchemeParseError,
     SpinSystem,
     SpinSystemParseError,
-    apply_gate,
     diag_tomography,
     error_metrics,
     experiment_unitary,
     format_z_terms,
     four_spin_prep_scheme,
-    gate_unitary,
+    gate_image,
     ideal_population_vector,
     lint_scheme,
     parse_measured_vector,
     parse_prep_scheme,
     parse_spin_system,
+    prep_report,
+    pseudo_pure_populations,
     run_experiment,
     run_prep_scheme,
     significant_terms,
     stick_spectrum,
     target_pseudo_pure,
+    thermal_populations,
     thermal_state,
     three_spin_prep_scheme,
     z_product_decomposition,
-    zero_off_diagonal,
 )
 from reference import z_product
 
@@ -50,11 +51,31 @@ EXPERIMENT_TERMS = [
     {(1, 3): 1.0, (1, 2): 1.0, (3,): 1.0},
 ]
 
+# a tipped six-spin scheme whose dense route left -2.22e-16 in its sum
+SIX_SPIN_SCHEME = """@gradient on
+CN12 N3 CN45 TIP6
+CN61 CN23
+E
+N4 CN56 TIP2
+CN31 CN64 N5
+"""
+
 
 def random_deviation_matrix(rng, n):
     a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
     h = (a + a.conj().T) / 2
     return h - np.trace(h) / 2**n * np.eye(2**n)
+
+
+def dense_populations(experiment, n):
+    """Diagonal of the dense reference experiment after the crusher."""
+    return np.diagonal(reference.zero_off_diagonal(reference.run_experiment(experiment, n))).real
+
+
+def apply_gates(populations, gates, n):
+    for gate in gates:
+        populations = populations[gate_image(gate, n)]
+    return populations
 
 
 class TestReferenceStates:
@@ -66,10 +87,14 @@ class TestReferenceStates:
         assert np.allclose(np.diagonal(thermal_state(3)).real, expected, atol=1e-14)
 
     def test_traceless_and_hermitian(self):
+        # populations are real and sum to 0; the density matrices are their
+        # diagonal matrices, so Hermitian and traceless
         for n in range(1, 5):
-            for rho in (thermal_state(n), target_pseudo_pure(n)):
-                assert abs(np.trace(rho)) < 1e-12
-                assert np.abs(rho - rho.conj().T).max() < 1e-12
+            for populations, rho in ((thermal_populations(n), thermal_state(n)),
+                                     (pseudo_pure_populations(n), target_pseudo_pure(n))):
+                assert populations.dtype == float and populations.shape == (2**n,)
+                assert abs(populations.sum()) < 1e-12
+                assert np.array_equal(rho, np.diag(populations))
 
     def test_target_single_spin(self):
         assert np.allclose(target_pseudo_pure(1), z_product((1,), 1), atol=1e-14)
@@ -97,74 +122,110 @@ class TestReferenceStates:
         assert np.allclose(values, [1, 0, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
     def test_spin_count_bounds(self):
+        # populations share the formula model's cap, density matrices the dense cap
         with pytest.raises(ValueError):
             thermal_state(0)
-        with pytest.raises(ValueError):
-            thermal_state(9)
+        with pytest.raises(ValueError, match=r"qubit count must be in \[1, 16\], got 17"):
+            thermal_populations(17)
+        assert thermal_populations(16).shape == (2**16,)
+        for dense in (thermal_state, target_pseudo_pure):
+            with pytest.raises(ValueError, match="dense routes are capped at n=12"):
+                dense(13)
 
 
 class TestGates:
     def test_cnot_is_permutation(self):
-        g = gate_unitary(CNot(1, 2), 2)
+        image = gate_image(CNot(1, 2), 2)
         # spin 1 is the high bit: |10> -> |11>, |11> -> |10>
-        assert np.allclose(g @ np.eye(4)[:, 2], np.eye(4)[:, 3], atol=1e-14)
-        assert np.allclose(g @ np.eye(4)[:, 0], np.eye(4)[:, 0], atol=1e-14)
+        assert image.tolist() == [0, 1, 3, 2]
 
     def test_flip_involution(self):
-        rho = thermal_state(3)
-        once = apply_gate(rho, Flip(2))
-        assert np.abs(apply_gate(once, Flip(2)) - rho).max() < 1e-13
+        populations = thermal_populations(3)
+        once = apply_gates(populations, [Flip(2)], 3)
+        assert not np.array_equal(once, populations)
+        assert np.array_equal(apply_gates(once, [Flip(2)], 3), populations)
 
     def test_second_experiment_terms(self):
         # application order: N3, CN21, CN32 (written right to left: CN32 CN21 N3)
-        rho = thermal_state(3)
-        for gate in (Flip(3), CNot(2, 1), CNot(3, 2)):
-            rho = apply_gate(rho, gate)
-        coeffs, residual = z_product_decomposition(rho)
-        assert residual < 1e-12
+        populations = apply_gates(thermal_populations(3), [Flip(3), CNot(2, 1), CNot(3, 2)], 3)
+        coeffs, residual = z_product_decomposition(populations)
+        assert residual == 0.0
         assert significant_terms(coeffs) == pytest.approx(EXPERIMENT_TERMS[1])
 
     def test_third_experiment_terms(self):
-        rho = thermal_state(3)
-        for gate in (CNot(3, 2), CNot(1, 2), CNot(2, 1)):
-            rho = apply_gate(rho, gate)
-        coeffs, residual = z_product_decomposition(rho)
-        assert residual < 1e-12
+        populations = apply_gates(thermal_populations(3), [CNot(3, 2), CNot(1, 2), CNot(2, 1)], 3)
+        coeffs, residual = z_product_decomposition(populations)
+        assert residual == 0.0
         assert significant_terms(coeffs) == pytest.approx(EXPERIMENT_TERMS[2])
 
     def test_conjugation_preserves_structure(self):
+        # conjugating a diagonal state by a permutation gate permutes its
+        # populations: the trace and the sorted values (the spectrum) stay
         rng = np.random.default_rng(11)
         for n in (2, 3, 4):
-            rho = random_deviation_matrix(rng, n)
-            eigs = np.sort(np.linalg.eigvalsh(rho))
-            gates = [CNot(1, n), Flip(n), CNot(n, 1)]
-            out = rho
-            for g in gates:
-                out = apply_gate(out, g)
-            assert np.abs(out - out.conj().T).max() < 1e-10
-            assert abs(np.trace(out)) < 1e-10
-            assert np.abs(np.sort(np.linalg.eigvalsh(out)) - eigs).max() < 1e-10
+            populations = rng.normal(size=2**n)
+            out = apply_gates(populations, [CNot(1, n), Flip(n), CNot(n, 1)], n)
+            assert out.sum() == pytest.approx(populations.sum(), abs=1e-12)
+            assert np.array_equal(np.sort(out), np.sort(populations))
 
     def test_index_map_matches_loop(self):
         for n in range(1, 6):
             spins = range(1, n + 1)
             gates = [Flip(k) for k in spins] + [CNot(c, t) for c, t in itertools.permutations(spins, 2)]
             for gate in gates:
-                assert np.array_equal(gate_unitary(gate, n), reference.gate_unitary(gate, n)), gate
+                image = gate_image(gate, n)
+                dense = np.zeros((2**n, 2**n), dtype=complex)
+                dense[image, np.arange(2**n)] = 1.0
+                assert np.array_equal(dense, reference.gate_unitary(gate, n)), gate
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
-            gate_unitary(CNot(1, 1), 2)
-        with pytest.raises(ValueError):
-            gate_unitary(CNot(1, 3), 2)
-        with pytest.raises(ValueError):
-            gate_unitary(Flip(0), 2)
+            gate_image(CNot(1, 1), 2)
+        with pytest.raises(ValueError, match="out of range"):
+            gate_image(CNot(1, 3), 2)
+        with pytest.raises(ValueError, match="out of range"):
+            gate_image(Flip(0), 2)
+
+    @pytest.mark.parametrize("spin", [0, 4, 9])
+    def test_tip_out_of_range(self, spin):
+        for gradient in (True, False):
+            scheme = PrepScheme((Experiment((CNot(1, 2),), (spin,)),), gradient)
+            with pytest.raises(ValueError, match="out of range"):
+                prep_report(scheme, 3)
+
+
+class TestTips:
+    def test_two_tips_swap_the_pair(self):
+        # CN12 TIP3 TIP3: a pi rotation of spin 3 swaps its level pairs
+        gated = run_experiment(Experiment((CNot(1, 2),)), 3)
+        swapped = run_experiment(Experiment((CNot(1, 2),), (3, 3)), 3)
+        assert np.array_equal(swapped, gated[np.arange(8) ^ 1])
+
+    def test_four_tips_are_the_identity(self):
+        gates = (Flip(1), CNot(1, 3))
+        assert np.array_equal(run_experiment(Experiment(gates, (2, 2, 2, 2)), 3),
+                              run_experiment(Experiment(gates), 3))
+
+    def test_odd_tips_average_the_pair_exactly(self):
+        gated = run_experiment(Experiment((CNot(1, 2),)), 3)
+        for tips in ((2,), (2, 2, 2)):
+            populations = run_experiment(Experiment((CNot(1, 2),), tips), 3)
+            assert np.array_equal(populations, (gated + gated[np.arange(8) ^ 2]) / 2)
+
+    def test_six_spin_sum_is_exact(self):
+        # the averages are exact halves, so the sum holds no rounding noise
+        total = prep_report(parse_prep_scheme(SIX_SPIN_SCHEME), 6).sum_diagonal
+        assert total[17] == 0.0
+        assert np.array_equal(total * 2, np.round(total * 2))
 
 
 class TestPrepSchemes:
     def test_three_spin_scheme_is_exact(self):
         rho = run_prep_scheme(three_spin_prep_scheme(), 3)
         assert np.abs(rho - target_pseudo_pure(3)).max() < 1e-12
+        report = prep_report(three_spin_prep_scheme(), 3)
+        assert np.array_equal(report.sum_diagonal, pseudo_pure_populations(3))
+        assert np.array_equal(rho, np.diag(report.sum_diagonal))
 
     def test_three_spin_per_experiment_decompositions(self):
         for experiment, expected in zip(three_spin_prep_scheme().experiments, EXPERIMENT_TERMS):
@@ -176,8 +237,10 @@ class TestPrepSchemes:
         assert len(scheme.experiments) == -(-(2**3 - 1) // 3)
 
     def test_four_spin_scheme_with_gradient_is_exact(self):
-        rho = run_prep_scheme(four_spin_prep_scheme(), 4)
-        assert np.abs(rho - target_pseudo_pure(4)).max() < 1e-12
+        report = prep_report(four_spin_prep_scheme(), 4)
+        assert report.max_residual == 0.0
+        assert np.array_equal(report.sum_diagonal, pseudo_pure_populations(4))
+        assert np.abs(run_prep_scheme(four_spin_prep_scheme(), 4) - target_pseudo_pure(4)).max() < 1e-12
 
     def test_four_spin_surplus_without_tips(self):
         # without the transverse tip the sum carries one extra I3z term
@@ -214,18 +277,35 @@ class TestPrepSchemes:
         assert np.abs(run_prep_scheme(scheme, 3) - thermal_state(3)).max() < 1e-14
 
     def test_gradient_idempotent(self):
-        rng = np.random.default_rng(3)
-        rho = random_deviation_matrix(rng, 3)
-        once = zero_off_diagonal(rho)
-        assert np.abs(zero_off_diagonal(once) - once).max() == 0.0
+        # a gradient-on contribution is already crushed: as a diagonal
+        # matrix the dense crusher leaves it unchanged, and it equals the
+        # crushed dense experiment
+        experiment = Experiment((CNot(1, 2), Flip(3)), (2, 3))
+        populations = run_experiment(experiment, 3)
+        assert np.array_equal(reference.zero_off_diagonal(np.diag(populations)), np.diag(populations))
+        assert np.abs(populations - dense_populations(experiment, 3)).max() < 1e-12
 
     def test_experiment_unitary_matches_stepwise(self):
-        experiment = three_spin_prep_scheme().experiments[1]
-        g = experiment_unitary(experiment, 3)
-        rho = thermal_state(3)
-        for gate in experiment.gates:
-            rho = apply_gate(rho, gate)
-        assert np.abs(g @ thermal_state(3) @ g.conj().T - rho).max() < 1e-12
+        for experiment in (three_spin_prep_scheme().experiments[1], Experiment((CNot(2, 3),), (1, 3, 1))):
+            g = experiment_unitary(experiment, 3)
+            assert np.abs(g @ thermal_state(3) @ g.conj().T - reference.run_experiment(experiment, 3)).max() < 1e-12
+
+    def test_gradient_off_keeps_coherences(self):
+        # without the crusher a tip leaves off-diagonal content
+        experiment = Experiment((CNot(1, 2),), (3,))
+        rho = reference.run_experiment(experiment, 3)
+        off_diagonal = np.abs(rho - reference.zero_off_diagonal(rho)).max()
+        report = prep_report(PrepScheme((experiment,), gradient=False), 3)
+        assert report.sum_off_diagonal_max == pytest.approx(off_diagonal, abs=1e-12) and off_diagonal > 0.1
+        assert report.experiments[0][1] == pytest.approx(off_diagonal, abs=1e-12)
+        assert report.max_residual >= report.sum_off_diagonal_max
+        assert np.abs(report.sum_diagonal - np.diagonal(rho).real).max() < 1e-12
+        assert np.abs(run_prep_scheme(PrepScheme((experiment,), gradient=False), 3) - rho).max() < 1e-12
+
+    def test_gradient_off_is_dense_capped(self):
+        scheme = PrepScheme((Experiment((CNot(1, 2),)),), gradient=False)
+        with pytest.raises(ValueError, match="dense routes are capped at n=12"):
+            prep_report(scheme, 13)
 
     def test_round_trip_decomposition(self):
         # expand the second experiment's terms to a matrix and re-project
@@ -237,6 +317,11 @@ class TestPrepSchemes:
     def test_format_terms(self):
         text = format_z_terms(EXPERIMENT_TERMS[1])
         assert text == "4I1zI2zI3z + 2I2zI3z - I3z"
+
+    def test_experiment_label(self):
+        assert str(Experiment()) == "E"
+        assert str(Experiment((CNot(1, 2), Flip(3)), (6, 6))) == "CN12 N3 TIP6 TIP6"
+        assert str(Experiment((), (1,))) == "E TIP1"
 
 
 class TestSchemeParsing:
@@ -288,6 +373,13 @@ class TestTomography:
         result = diag_tomography(target_pseudo_pure(3))
         raw = np.array(result.values) * result.scale + result.background
         assert np.allclose(raw, np.diagonal(target_pseudo_pure(3)).real, atol=1e-12)
+
+    def test_populations_equal_their_density_matrix(self):
+        assert diag_tomography(pseudo_pure_populations(3)) == diag_tomography(target_pseudo_pure(3))
+
+    def test_not_a_state_rejected(self):
+        with pytest.raises(ValueError, match="needs 2\\*\\*n populations"):
+            diag_tomography(np.ones(3))
 
 
 class TestErrorMetrics:
@@ -392,6 +484,10 @@ class TestStickSpectrum:
         with pytest.raises(ValueError):
             stick_spectrum(thermal_state(3), 4, ALANINE)
 
+    def test_spin_count_mismatch(self):
+        with pytest.raises(ValueError, match="state is for 2 spins"):
+            stick_spectrum(thermal_populations(2), 1, ALANINE)
+
     def test_non_hermitian_rejected(self):
         bad = np.zeros((8, 8), dtype=complex)
         bad[0, 1] = 1.0
@@ -419,28 +515,47 @@ class TestLint:
         assert "uncoupled" in warnings[0]
 
 
+def draw_gate(data, n):
+    if n > 1 and data.draw(st.booleans()):
+        control, target = data.draw(st.permutations(range(1, n + 1)))[:2]
+        return CNot(control, target)
+    return Flip(data.draw(st.integers(1, n)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 4), st.data())
 def test_gate_chains_preserve_deviation_invariants(n, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-    rho = random_deviation_matrix(rng, n)
-    eigs = np.sort(np.linalg.eigvalsh(rho))
-    n_gates = data.draw(st.integers(1, 5))
-    out = rho
-    for _ in range(n_gates):
-        if data.draw(st.booleans()):
-            spins = data.draw(st.permutations(range(1, n + 1)))
-            out = apply_gate(out, CNot(spins[0], spins[1]))
-        else:
-            out = apply_gate(out, Flip(data.draw(st.integers(1, n))))
-    assert np.abs(out - out.conj().T).max() < 1e-10
-    assert abs(np.trace(out)) < 1e-10
-    assert np.abs(np.sort(np.linalg.eigvalsh(out)) - eigs).max() < 1e-9
+    populations = rng.normal(size=2**n)
+    gates = [draw_gate(data, n) for _ in range(data.draw(st.integers(1, 5)))]
+    out = apply_gates(populations, gates, n)
+    assert abs(out.sum() - populations.sum()) < 1e-10
+    assert np.array_equal(np.sort(out), np.sort(populations))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_population_route_matches_dense_reference(n, data):
+    # gradient on: each experiment's populations equal the crushed dense
+    # conjugation, for random gates and 0-4 tips with repeats
+    experiments = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        gates = tuple(draw_gate(data, n) for _ in range(data.draw(st.integers(0, 4))))
+        tips = tuple(data.draw(st.lists(st.integers(1, n), max_size=4)))
+        experiments.append(Experiment(gates, tips))
+    report = prep_report(PrepScheme(tuple(experiments)), n)
+    expected = [dense_populations(e, n) for e in experiments]
+    for experiment, want in zip(experiments, expected):
+        assert np.abs(run_experiment(experiment, n) - want).max() <= 1e-12
+    assert np.abs(report.sum_diagonal - sum(expected)).max() <= 1e-12
+    assert report.sum_off_diagonal_max == 0.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.booleans(), st.data())
 def test_decomposition_matches_dense_reference(n, off_diagonal, data):
+    # a matrix's coherences enter the residual; its populations alone give
+    # the same coefficients
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     diag = rng.normal(size=2**n)
     diag += rng.uniform(0.5, 2.0) - diag.mean()  # nonzero trace
@@ -453,11 +568,14 @@ def test_decomposition_matches_dense_reference(n, off_diagonal, data):
     assert list(coeffs) == list(expected)
     assert max(abs(coeffs[s] - expected[s]) for s in expected) <= 1e-12
     assert abs(residual - expected_residual) <= 1e-12
+    assert z_product_decomposition(diag)[0] == coeffs
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.booleans(), st.data())
 def test_stick_spectrum_matches_rotated_reference(n, off_diagonal, data):
+    # the lines read from the populations equal those of the rotated dense
+    # matrix, whose coherences do not enter
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     rho = np.diag(rng.normal(size=2**n)).astype(complex)
     if off_diagonal:
@@ -468,6 +586,7 @@ def test_stick_spectrum_matches_rotated_reference(n, off_diagonal, data):
     system = SpinSystem(n, tuple(rng.uniform(-2e4, 2e4, size=n)), couplings)
     for spin in range(1, n + 1):
         lines = stick_spectrum(rho, spin, system)
+        assert stick_spectrum(np.diagonal(rho).real, spin, system) == lines
         expected = reference.stick_spectrum(rho, spin, system)
         assert len(lines) == len(expected) == 2 ** (n - 1)
         for line, ref in zip(lines, expected):

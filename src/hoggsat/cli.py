@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: solve, verify, prep, compare, pulse, spectrum.  Every command
-accepts ``--json`` (emit the full machine-readable report), ``--tolerance``,
-``--bit-order {msb-v1,lsb-v1}`` (assignment rendering; lsb-v1 reverses the
-bit order, matching the transcription used by the tabulated measured data),
-and ``--params`` (spin-system parameter file).  Output is deterministic:
-floats are fixed at 12 significant digits and reports serialize with sorted
-keys.  The exit code is 0 exactly when every requested check passes.
+Subcommands: solve, verify, prep, compare, pulse, spectrum.  Each takes
+``--json`` (emit the full machine-readable report) and only the other options
+its handler reads.  ``--bit-order {msb-v1,lsb-v1}`` (lsb-v1 reverses the bit
+order, matching the transcription used by the tabulated measured data) is
+read by solve and compare; the other reports are in msb-v1.  Output is
+deterministic: floats are fixed at 12 significant digits and reports
+serialize with sorted keys.  The exit code is 0 exactly when every requested
+check passes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import __version__
 from .formula import (
     assignment_bits,
     conflicts,
+    drop_repeated_literals,
     parse_formula,
     reverse_bits,
     solutions,
@@ -62,15 +64,8 @@ from .spin_sim import (
     significant_terms,
     stick_spectrum,
     thermal_populations,
+    three_spin_prep_scheme,
 )
-
-DEFAULT_TOLERANCES = {
-    "verify": 1e-10,
-    "prep": 1e-12,
-    "pulse": 1e-8,
-    "solve": 1e-12,
-}
-
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
@@ -116,11 +111,11 @@ def _display_bits(assignment: int, n: int, bit_order: str) -> str:
     return assignment_bits(assignment, n)
 
 
-def _base_report(args, command: str) -> dict:
+def _base_report(command: str, bit_order: str = "msb-v1") -> dict:
     return {
         "tool": {"name": "hoggsat", "version": __version__},
         "command": command,
-        "bit_order": args.bit_order,
+        "bit_order": bit_order,
     }
 
 
@@ -135,18 +130,17 @@ def _load_params(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    f = parse_formula(args.formula, n=args.n)
+    f = drop_repeated_literals(parse_formula(args.formula, n=args.n))
     psi = run_pipeline(f)
     probs = measure_distribution(psi)
     top = int(np.argmax(probs))
     top_conflicts = conflicts(f, top)
     verdict = "SAT" if top_conflicts == 0 else "UNSAT"
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["solve"]
     support = [
         {"assignment": _display_bits(a, f.n, args.bit_order), "probability": float(probs[a])}
-        for a in np.flatnonzero(probs > tol).tolist()
+        for a in np.flatnonzero(probs > args.tolerance).tolist()
     ]
-    report = _base_report(args, "solve")
+    report = _base_report("solve", args.bit_order)
     report.update({
         "formula": str(f),
         "n": f.n,
@@ -177,27 +171,29 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["verify"]
     if args.all:
-        if args.max_n < 1:
-            raise SystemExit(f"verify: --max-n must be at least 1, got {args.max_n}")
-        pairs = [(n, m) for n in range(1, args.max_n + 1) for m in range(1, n + 1)]
+        if args.n is not None:
+            raise SystemExit("verify: give N and M, or --all, not both")
+        max_n = 6 if args.max_n is None else args.max_n
+        if max_n < 1:
+            raise SystemExit(f"verify: --max-n must be at least 1, got {max_n}")
+        pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
+    elif args.m is None or args.max_n is not None:
+        raise SystemExit("verify: give N and M, or --all [--max-n K]")
     else:
-        if args.n is None or args.m is None:
-            raise SystemExit("verify: give N and M, or --all")
         pairs = [(args.n, args.m)]
     check_qubit_count(max(n for n, _ in pairs))  # reject a sweep before any pair runs
     checks = []
     for n, m in pairs:
-        check = asdict(verify_wgw(n, m, tol))
+        check = asdict(verify_wgw(n, m, args.tolerance))
         check["wgw_error"] = check.pop("max_abs_error")
         check["wgw_phase"] = check.pop("global_phase")
         checks.append(check)
     all_passed = all(c["passed"] for c in checks)
     worst = max(max(c["wgw_error"], c["gamma_modulus_error"], c["walsh_involution_error"])
                 for c in checks)
-    report = _base_report(args, "verify")
-    report.update({"tolerance": tol, "checks": checks, "all_passed": all_passed, "max_error": worst})
+    report = _base_report("verify")
+    report.update({"tolerance": args.tolerance, "checks": checks, "all_passed": all_passed, "max_error": worst})
     lines = []
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
@@ -218,7 +214,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_prep(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["prep"]
     if args.scheme:
         scheme = parse_prep_scheme(Path(args.scheme).read_text())
         scheme_label = args.scheme
@@ -227,7 +222,7 @@ def _cmd_prep(args) -> int:
         scheme_label = f"built-in {args.n}-spin temporal averaging"
     n = args.n
     result = prep_report(scheme, n)
-    passed = result.max_residual <= tol
+    passed = result.max_residual <= args.tolerance
     experiments = [{
         "index": idx,
         "gates": str(experiment),
@@ -240,7 +235,7 @@ def _cmd_prep(args) -> int:
         params = ALANINE
     lint_ran = params is not None
     warnings = lint_scheme(scheme, params) if lint_ran else []
-    report = _base_report(args, "prep")
+    report = _base_report("prep")
     report.update({
         "scheme": scheme_label,
         "n": n,
@@ -250,7 +245,7 @@ def _cmd_prep(args) -> int:
         "sum_off_diagonal_max": result.sum_off_diagonal_max,
         "target_diagonal": pseudo_pure_populations(n),
         "max_residual": result.max_residual,
-        "tolerance": tol,
+        "tolerance": args.tolerance,
         "passed": passed,
         "lint_ran": lint_ran,
         "lint_warnings": warnings,
@@ -264,7 +259,7 @@ def _cmd_prep(args) -> int:
         lines.append(f"sum off-diagonal content: max |entry| {_fmt(result.sum_off_diagonal_max)}")
     lines.append("target diagonal: " + " ".join(_fmt(x) for x in report["target_diagonal"]))
     lines.append(f"max residual vs pseudo-pure target: {_fmt(result.max_residual)} "
-                 f"({'pass' if passed else 'FAIL'} at tolerance {_fmt(tol)})")
+                 f"({'pass' if passed else 'FAIL'} at tolerance {_fmt(args.tolerance)})")
     for w in warnings:
         lines.append(f"lint: {w}")
     if not warnings:
@@ -280,7 +275,7 @@ def _cmd_prep(args) -> int:
 def _cmd_compare(args) -> int:
     measured = parse_measured_vector(Path(args.measured).read_text())
     n = measured.size.bit_length() - 1
-    if args.ideal_file:
+    if args.ideal_file is not None:
         ideal = parse_measured_vector(Path(args.ideal_file).read_text())
         ideal_label = f"vector from {args.ideal_file}"
     elif args.ideal_index is not None:
@@ -290,7 +285,7 @@ def _cmd_compare(args) -> int:
             index = reverse_bits(index, n)
         ideal = ideal_population_vector(n, index)
         ideal_label = f"population on assignment {_display_bits(index, n, args.bit_order)}"
-    elif args.ideal_formula:
+    else:
         f = parse_formula(args.ideal_formula, n=n)
         sols = sorted(solutions(f))
         if len(sols) != 1:
@@ -300,19 +295,16 @@ def _cmd_compare(args) -> int:
         ideal = ideal_population_vector(n, index)
         ideal_label = (f"solution of {f} at vector index {index} "
                        f"(bit order {args.bit_order})")
-    else:
-        raise SystemExit("compare: give --ideal-file, --ideal-index or --ideal-formula")
     metrics = error_metrics(measured, ideal)
-    report = _base_report(args, "compare")
-    threshold = args.threshold
-    passed = metrics.max_abs_dev <= threshold if threshold is not None else True
+    report = _base_report("compare", args.bit_order)
+    passed = args.threshold is None or metrics.max_abs_dev <= args.threshold
     report.update({
         "measured_file": args.measured,
         "entries": int(measured.size),
         "ideal": ideal_label,
         "per_entry": list(metrics.per_entry),
         "max_abs_dev": metrics.max_abs_dev,
-        "threshold": threshold,
+        "threshold": args.threshold,
         "passed": passed,
     })
     lines = [
@@ -321,8 +313,8 @@ def _cmd_compare(args) -> int:
         "per-entry |measured - ideal|: " + " ".join(_fmt(v) for v in metrics.per_entry),
         f"max deviation: {_fmt(metrics.max_abs_dev)}",
     ]
-    if threshold is not None:
-        lines.append(f"threshold {_fmt(threshold)}: {'PASS' if passed else 'FAIL'}")
+    if args.threshold is not None:
+        lines.append(f"threshold {_fmt(args.threshold)}: {'PASS' if passed else 'FAIL'}")
     _emit(report, lines, args.json)
     return 0 if passed else 1
 
@@ -331,74 +323,73 @@ def _cmd_compare(args) -> int:
 # pulse
 # ---------------------------------------------------------------------------
 
-def _cmd_pulse(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCES["pulse"]
-    report = _base_report(args, f"pulse {args.pulse_command}")
-    if args.pulse_command == "verify":
-        f = parse_formula(args.formula)
-        seq = parse_pulse_sequence(args.sequence)
-        f = replace(f, n=max([f.n, *(p.spin for p in seq)]))
-        result = verify_table_sequence(f, seq, tol)
-        report.update({"verification": result})
-        lines = [
-            f"formula: {result.formula}",
-            f"sequence: {result.sequence or '(empty)'}",
-            f"action on |{'0' * f.n}>: "
-            + ("equivalent" if result.state_equivalent else "NOT equivalent")
-            + f" (max error {_fmt(result.state_max_error)}, "
-              f"global phase {_fmt(result.state_global_phase.real)}{result.state_global_phase.imag:+.12g}i)",
-            "full unitary: "
-            + ("equivalent" if result.full_equivalent else "not equivalent")
-            + f" (max error {_fmt(result.full_max_error)})",
-        ]
-        _emit(report, lines, args.json)
-        return 0 if result.state_equivalent else 1
-    if args.pulse_command in ("compile-r", "compile-gamma"):
-        if args.pulse_command == "compile-r":
-            f = parse_formula(args.formula)
-            diag = phase_matrix(f)
-            label = f"conflict-phase diagonal of {f}"
-            n = f.n
-        else:
-            n = args.n
-            diag = gamma_matrix(n, args.m)
-            label = f"mixing-phase diagonal for n={n}, m={args.m}"
-        try:
-            seq = compile_diagonal(diag)
-        except NotTensorFactorable as exc:
-            report.update({"target": label, "compiled": None, "error": str(exc)})
-            _emit(report, [f"target: {label}", f"not tensor-factorable: {exc}",
-                           "fall back to dense simulation"], args.json)
-            return 1
-        err, phase = phase_aligned_error(sequence_to_unitary(seq, n), np.diag(diag))
-        report.update({"target": label, "compiled": seq.to_text() or "(empty)",
-                       "round_trip_error": err, "global_phase": phase})
-        _emit(report, [f"target: {label}",
-                       f"compiled sequence: {seq.to_text() or '(empty)'}",
-                       f"round-trip error (up to global phase): {_fmt(err)}"], args.json)
-        return 0
-    if args.pulse_command == "lower":
-        programs = prep_pulse_program(args.n)
-        scheme = builtin_prep_scheme(args.n)
-        rows = []
-        all_ok = True
-        for program, experiment in zip(programs, scheme.experiments):
-            target = experiment_unitary(experiment, args.n)
-            err, _ = phase_aligned_error(program_unitary(program, args.n), target)
-            ok = err <= 1e-10
-            all_ok &= ok
-            rows.append({"label": program.label, "timeline": program.describe(),
-                         "gate_chain_error": err, "passed": ok})
-        report.update({"programs": rows, "all_passed": all_ok})
-        lines = []
-        for r in rows:
-            lines.append(f"{r['label']}")
-            lines.append(f"  timeline: {r['timeline']}")
-            lines.append(f"  matches gate chain up to global phase: error {_fmt(r['gate_chain_error'])} "
-                         f"({'pass' if r['passed'] else 'FAIL'})")
-        _emit(report, lines, args.json)
-        return 0 if all_ok else 1
-    raise SystemExit(f"unknown pulse subcommand {args.pulse_command!r}")
+def _cmd_pulse_verify(args) -> int:
+    f = parse_formula(args.formula)
+    seq = parse_pulse_sequence(args.sequence)
+    f = replace(f, n=max([f.n, *(p.spin for p in seq)]))
+    result = verify_table_sequence(f, seq, args.tolerance)
+    report = _base_report("pulse verify")
+    report.update({"verification": result})
+    lines = [
+        f"formula: {result.formula}",
+        f"sequence: {result.sequence or '(empty)'}",
+        f"action on |{'0' * f.n}>: "
+        + ("equivalent" if result.state_equivalent else "NOT equivalent")
+        + f" (max error {_fmt(result.state_max_error)}, "
+          f"global phase {_fmt(result.state_global_phase.real)}{result.state_global_phase.imag:+.12g}i)",
+        "full unitary: "
+        + ("equivalent" if result.full_equivalent else "not equivalent")
+        + f" (max error {_fmt(result.full_max_error)})",
+    ]
+    _emit(report, lines, args.json)
+    return 0 if result.state_equivalent else 1
+
+
+def _compile(command: str, label: str, diag: np.ndarray, n: int, as_json: bool) -> int:
+    report = _base_report(command)
+    try:
+        seq = compile_diagonal(diag)
+    except NotTensorFactorable as exc:
+        report.update({"target": label, "compiled": None, "error": str(exc)})
+        _emit(report, [f"target: {label}", f"not tensor-factorable: {exc}",
+                       "fall back to dense simulation"], as_json)
+        return 1
+    err, phase = phase_aligned_error(sequence_to_unitary(seq, n), np.diag(diag))
+    report.update({"target": label, "compiled": seq.to_text() or "(empty)",
+                   "round_trip_error": err, "global_phase": phase})
+    _emit(report, [f"target: {label}",
+                   f"compiled sequence: {seq.to_text() or '(empty)'}",
+                   f"round-trip error (up to global phase): {_fmt(err)}"], as_json)
+    return 0
+
+
+def _cmd_compile_r(args) -> int:
+    f = parse_formula(args.formula)
+    return _compile("pulse compile-r", f"conflict-phase diagonal of {f}", phase_matrix(f), f.n, args.json)
+
+
+def _cmd_compile_gamma(args) -> int:
+    return _compile("pulse compile-gamma", f"mixing-phase diagonal for n={args.n}, m={args.m}",
+                    gamma_matrix(args.n, args.m), args.n, args.json)
+
+
+def _cmd_pulse_lower(args) -> int:
+    rows = []
+    for program, experiment in zip(prep_pulse_program(), three_spin_prep_scheme().experiments):
+        err, _ = phase_aligned_error(program_unitary(program, 3), experiment_unitary(experiment, 3))
+        rows.append({"label": program.label, "timeline": program.describe(),
+                     "gate_chain_error": err, "passed": err <= 1e-10})
+    all_ok = all(r["passed"] for r in rows)
+    report = _base_report("pulse lower")
+    report.update({"programs": rows, "all_passed": all_ok})
+    lines = []
+    for r in rows:
+        lines.append(f"{r['label']}")
+        lines.append(f"  timeline: {r['timeline']}")
+        lines.append(f"  matches gate chain up to global phase: error {_fmt(r['gate_chain_error'])} "
+                     f"({'pass' if r['passed'] else 'FAIL'})")
+    _emit(report, lines, args.json)
+    return 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +406,7 @@ def _cmd_spectrum(args) -> int:
     else:
         populations = prep_report(builtin_prep_scheme(n), n).sum_diagonal
     lines_data = stick_spectrum(populations, args.spin, params)
-    report = _base_report(args, "spectrum")
+    report = _base_report("spectrum")
     report.update({
         "state": args.state,
         "spin": args.spin,
@@ -436,17 +427,26 @@ def _cmd_spectrum(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _command(sub, name: str, func, help: str, *, tolerance: float | None = None,
+             bit_order: bool = False, params: bool = False, aliases=()) -> argparse.ArgumentParser:
+    """A subcommand with `--json` and the shared options its handler reads."""
+    p = sub.add_parser(name, help=help, aliases=aliases)
+    p.add_argument("--json", action="store_true", help="emit a JSON report")
+    if tolerance is not None:
+        p.add_argument("--tolerance", type=float, default=tolerance,
+                       help=f"pass/fail tolerance (default {tolerance:g})")
+    if bit_order:
+        p.add_argument("--bit-order", choices=("msb-v1", "lsb-v1"), default="msb-v1",
+                       help="assignment bit order for display and ingestion")
+    if params:
+        p.add_argument("--params", default=None, help="spin-system parameter file")
+    p.set_defaults(func=func)
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override the command's pass/fail tolerance")
-    common.add_argument("--bit-order", choices=("msb-v1", "lsb-v1"), default="msb-v1",
-                        help="assignment bit order for display and ingestion")
-    common.add_argument("--params", default=None, help="spin-system parameter file")
-
     parser = argparse.ArgumentParser(
         prog="hoggsat",
         description="Single-step structured search over 1-SAT and its NMR-ensemble emulation.",
@@ -454,59 +454,51 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hoggsat {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="run the search pipeline on a formula")
+    p = _command(sub, "solve", _cmd_solve, "run the search pipeline on a formula",
+                 tolerance=1e-12, bit_order=True)
     p.add_argument("formula", help='formula text, e.g. "v1 & !v2 & v3"')
     p.add_argument("--n", type=int, default=None, help="variable count (default: largest index used)")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check the mixing-operator factorization and unitarity")
+    p = _command(sub, "verify", _cmd_verify, "check the mixing-operator factorization and unitarity",
+                 tolerance=1e-10)
     p.add_argument("n", nargs="?", type=int, default=None)
     p.add_argument("m", nargs="?", type=int, default=None)
     p.add_argument("--all", action="store_true", help="sweep all 1 <= m <= n <= max-n")
-    p.add_argument("--max-n", type=int, default=6)
-    p.set_defaults(func=_cmd_verify)
+    p.add_argument("--max-n", type=int, default=None, help="largest n of the --all sweep (default 6)")
 
-    p = sub.add_parser("prep", parents=[common], help="run a pseudo-pure preparation scheme")
+    p = _command(sub, "prep", _cmd_prep, "run a pseudo-pure preparation scheme",
+                 tolerance=1e-12, params=True)
     p.add_argument("n", type=int)
     p.add_argument("--scheme", default=None, help="scheme file (default: built-in scheme for n)")
-    p.set_defaults(func=_cmd_prep)
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="compare a measured diagonal against an ideal one")
+    p = _command(sub, "compare", _cmd_compare, "compare a measured diagonal against an ideal one",
+                 bit_order=True)
     p.add_argument("measured", help="CSV/text vector, one real per line or comma separated")
-    p.add_argument("--ideal-file", default=None)
-    p.add_argument("--ideal-index", default=None,
-                   help="basis index (integer or bit string) carrying the ideal population")
-    p.add_argument("--ideal-formula", default=None,
-                   help="single-solution formula defining the ideal population")
+    ideal = p.add_mutually_exclusive_group(required=True)
+    ideal.add_argument("--ideal-file", default=None)
+    ideal.add_argument("--ideal-index", default=None,
+                       help="basis index (integer or bit string) carrying the ideal population")
+    ideal.add_argument("--ideal-formula", default=None,
+                       help="single-solution formula defining the ideal population")
     p.add_argument("--threshold", type=float, default=None, help="pass/fail bound on the max deviation")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("pulse", parents=[common], help="pulse-sequence tools")
+    p = sub.add_parser("pulse", help="pulse-sequence tools")
     psub = p.add_subparsers(dest="pulse_command", required=True)
-    q = psub.add_parser("verify", parents=[common], help="verify a sequence against U R W")
+    q = _command(psub, "verify", _cmd_pulse_verify, "verify a sequence against U R W", tolerance=1e-8)
     q.add_argument("formula")
     q.add_argument("sequence")
-    q.set_defaults(func=_cmd_pulse)
-    q = psub.add_parser("compile-r", parents=[common], aliases=["compile-R"],
-                        help="compile a formula's conflict-phase diagonal to z-rotations")
+    q = _command(psub, "compile-r", _cmd_compile_r,
+                 "compile a formula's conflict-phase diagonal to z-rotations", aliases=("compile-R",))
     q.add_argument("formula")
-    q.set_defaults(func=_cmd_pulse, pulse_command="compile-r")
-    q = psub.add_parser("compile-gamma", parents=[common],
-                        help="compile the mixing-phase diagonal to z-rotations")
+    q = _command(psub, "compile-gamma", _cmd_compile_gamma,
+                 "compile the mixing-phase diagonal to z-rotations")
     q.add_argument("m", type=int)
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_pulse, pulse_command="compile-gamma")
-    q = psub.add_parser("lower", parents=[common],
-                        help="lower the built-in preparation scheme to pulse programs")
-    q.add_argument("--n", type=int, default=3)
-    q.set_defaults(func=_cmd_pulse, pulse_command="lower")
+    _command(psub, "lower", _cmd_pulse_lower, "lower the built-in 3-spin preparation scheme to pulse programs")
 
-    p = sub.add_parser("spectrum", parents=[common], help="first-order stick spectrum of a state")
+    p = _command(sub, "spectrum", _cmd_spectrum, "first-order stick spectrum of a state", params=True)
     p.add_argument("state", choices=("pseudo-pure", "thermal", "prep"))
     p.add_argument("--spin", type=int, required=True)
-    p.set_defaults(func=_cmd_spectrum)
 
     return parser
 
@@ -516,7 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # every parse and size error is a ValueError
+    except (ValueError, OSError) as exc:  # parse and size errors, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # usage errors raised inside commands

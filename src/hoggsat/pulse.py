@@ -440,10 +440,8 @@ def lower_gate(gate) -> tuple[ProgramElement, ...]:
     raise TypeError(f"not a gate: {gate!r}")
 
 
-def prep_pulse_program(n: int = 3) -> list[LoweredProgram]:
+def prep_pulse_program() -> list[LoweredProgram]:
     """Lower the built-in 3-spin preparation scheme to pulse programs."""
-    if n != 3:
-        raise ValueError("pulse programs are provided for the 3-spin scheme only")
     programs = []
     for index, experiment in enumerate(three_spin_prep_scheme().experiments, start=1):
         elements: list[ProgramElement] = []

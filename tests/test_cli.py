@@ -1,8 +1,10 @@
 import argparse
+import itertools
 import json
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,27 @@ import pytest
 import hoggsat
 from hoggsat import cli, hogg, linalg, pulse, spin_sim
 from hoggsat.cli import main
+from hoggsat.formula import conflicts, parse_formula, solutions
 from hoggsat.pulse import THREE_SPIN_TABLE
 from hoggsat.spin_sim import MEASURED_PREP_DIAG, MEASURED_SEARCH_DIAGS
+
+PREP_CSV = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "measured_prep_diag.csv")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(capsys, *argv):
+    """Exit status of a command line, usage errors from the parser included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
 
 
 def count_calls(monkeypatch, module, name):
@@ -66,6 +81,31 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "v1 & nonsense")
         assert code == 2
         assert "error" in err
+
+    def test_repeated_literals_are_dropped(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "v1 & v1 & v1 & v2")
+        assert code == 0
+        assert out.startswith("formula: v1 & v2   (n=2, m=2)\n")
+        assert "top assignment: 11   probability 1.000000000000" in out
+        assert "verdict: SAT" in out
+
+    def test_verdict_matches_brute_force_on_every_small_formula(self, capsys):
+        # all 1924 formulas with n <= 3 and 1 <= m <= 4; the pipeline alone,
+        # on the formula as written, gets 396 of the verdicts wrong
+        total = wrong = pipeline_wrong = 0
+        for n in range(1, 4):
+            literals = [f"{sign}v{k}" for k in range(1, n + 1) for sign in ("", "!")]
+            for m in range(1, 5):
+                for clauses in itertools.product(literals, repeat=m):
+                    text = " & ".join(clauses)
+                    _, out, _ = run_cli(capsys, "solve", text, "--n", str(n), "--json")
+                    report = json.loads(out)
+                    wrong += (report["verdict"] == "SAT") != bool(report["brute_force_solutions"])
+                    f = parse_formula(text, n=n)
+                    top = int(np.argmax(hogg.measure_distribution(hogg.run_pipeline(f))))
+                    pipeline_wrong += (conflicts(f, top) == 0) != bool(solutions(f))
+                    total += 1
+        assert (total, pipeline_wrong, wrong) == (1924, 396, 0)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "solve", "!v1 & v3", "--json")
@@ -267,6 +307,13 @@ class TestCompare:
         assert code == 0
         assert "max deviation: 0" in out
 
+    @pytest.mark.parametrize("argv", [("{dir}", "--ideal-index", "0"), (PREP_CSV, "--ideal-file", "")])
+    def test_unreadable_file_exits_2(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, "compare", *(a.format(dir=tmp_path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_malformed_csv(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1, 2, three, 4")
@@ -392,3 +439,103 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "hoggsat" in capsys.readouterr().out
+
+
+# The options each command reads, with a command line it accepts; the words
+# after the command's name go after any inserted option.
+COMMANDS = {
+    "": ((), set()),
+    "solve": (("v1",), {"--json", "--tolerance", "--bit-order", "--n"}),
+    "verify": (("1", "1"), {"--json", "--tolerance", "--all", "--max-n"}),
+    "prep": (("3",), {"--json", "--tolerance", "--params", "--scheme"}),
+    "compare": ((PREP_CSV, "--ideal-index", "0"),
+                {"--json", "--bit-order", "--ideal-file", "--ideal-index", "--ideal-formula", "--threshold"}),
+    "pulse": (("verify", "v1", "X1^2 Y2 Y3"), set()),
+    "pulse verify": (("v1", "X1^2 Y2 Y3"), {"--json", "--tolerance"}),
+    "pulse compile-r": (("v1",), {"--json"}),
+    "pulse compile-gamma": (("1", "--n", "1"), {"--json", "--n"}),
+    "pulse lower": ((), {"--json"}),
+    "spectrum": (("thermal", "--spin", "1"), {"--json", "--params", "--spin"}),
+}
+SHARED_OPTIONS = {"--json": (), "--tolerance": ("1",), "--bit-order": ("msb-v1",), "--params": ("x",)}
+REMOVED = [(command, option, SHARED_OPTIONS[option])
+           for command, (_, kept) in COMMANDS.items() if command
+           for option in SHARED_OPTIONS if option not in kept]
+REMOVED.append(("pulse lower", "--n", ("3",)))
+
+
+def option_matrix(parser, path=()):
+    """{command path: its option names}, leaving out -h and --version."""
+    matrix = {" ".join(path): {a.option_strings[-1] for a in parser._actions
+                               if a.option_strings and a.dest not in ("help", "version")}}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            first_names = {}
+            for name, subparser in action.choices.items():  # aliases follow their command
+                first_names.setdefault(subparser, name)
+            for subparser, name in first_names.items():
+                matrix |= option_matrix(subparser, (*path, name))
+    return matrix
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    matrix = option_matrix(cli._build_parser())
+    assert matrix == {command: kept for command, (_, kept) in COMMANDS.items()}
+    assert sum(map(len, matrix.values())) == 27
+    assert len(REMOVED) == 24
+
+
+@pytest.mark.parametrize("command,option,value", [pytest.param(*r, id=f"{r[0]} {r[1]}") for r in REMOVED])
+def test_removed_option_is_a_usage_error(capsys, command, option, value):
+    rest, _ = COMMANDS[command]
+    assert exit_code(capsys, *command.split(), *rest) == 0
+    assert exit_code(capsys, *command.split(), option, *value, *rest) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "3", "3", "--all"),
+    ("verify", "3", "--all"),
+    ("verify", "3", "3", "--max-n", "9"),
+    ("compare", PREP_CSV, "--ideal-index", "0", "--ideal-formula", "v1 & v2 & v3"),
+    ("compare", PREP_CSV, "--ideal-file", PREP_CSV, "--ideal-index", "0"),
+    ("compare", PREP_CSV),
+])
+def test_ignored_input_is_a_usage_error(capsys, argv):
+    assert exit_code(capsys, *argv) == 2
+
+
+def test_every_tolerance_is_read(capsys, tmp_path):
+    assert exit_code(capsys, "verify", "3", "3") == 0
+    assert exit_code(capsys, "verify", "3", "3", "--tolerance", "0") == 1
+    assert exit_code(capsys, "pulse", "verify", "v1", "X1^2 Y2 Y3") == 0
+    assert exit_code(capsys, "pulse", "verify", "v1", "X1^2 Y2 Y3", "--tolerance", "0") == 1
+    scheme = tmp_path / "identity.scheme"
+    scheme.write_text("E\n")  # residual 2; the built-in scheme's is exactly 0
+    assert exit_code(capsys, "prep", "3", "--scheme", str(scheme)) == 1
+    assert exit_code(capsys, "prep", "3", "--scheme", str(scheme), "--tolerance", "100") == 0
+    _, out, _ = run_cli(capsys, "solve", "!v2", "--n", "3", "--json")
+    assert len(json.loads(out)["distribution"]) == 4
+    _, out, _ = run_cli(capsys, "solve", "!v2", "--n", "3", "--tolerance", "1", "--json")
+    assert json.loads(out)["distribution"] == []
+
+
+def test_prep_reads_params(capsys, tmp_path):
+    path = tmp_path / "uncoupled.spins"
+    path.write_text("n 3\nshift 1 0.0\nshift 2 100.0\nshift 3 200.0\n")
+    _, default, _ = run_cli(capsys, "prep", "3")
+    _, uncoupled, _ = run_cli(capsys, "prep", "3", "--params", str(path))
+    assert "uncoupled" not in default
+    assert "lint: CN21: spins 1 and 2 are uncoupled" in uncoupled
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("prep", ("prep", "3")),
+    ("spectrum", ("spectrum", "thermal", "--spin", "1")),
+    ("pulse lower", ("pulse", "lower")),
+    ("pulse compile-r", ("pulse", "compile-R", "v1")),
+])
+def test_reports_without_bit_order_are_msb_v1(capsys, command, argv):
+    _, out, _ = run_cli(capsys, *argv, "--json")
+    report = json.loads(out)
+    assert report["command"] == command
+    assert report["bit_order"] == "msb-v1"

@@ -320,24 +320,20 @@ class TestPhaseAlignment:
 
 class TestLoweredPrograms:
     def test_three_programs(self):
-        programs = prep_pulse_program(3)
+        programs = prep_pulse_program()
         assert len(programs) == 3
         assert programs[0].elements == ()
 
     def test_programs_match_gate_chains(self):
         scheme = three_spin_prep_scheme()
-        for program, experiment in zip(prep_pulse_program(3), scheme.experiments):
+        for program, experiment in zip(prep_pulse_program(), scheme.experiments):
             err, phase = phase_aligned_error(
                 program_unitary(program, 3), experiment_unitary(experiment, 3))
             assert err < 1e-10, program.label
             assert abs(abs(phase) - 1) < 1e-12
 
     def test_delays_stay_symbolic(self):
-        program = prep_pulse_program(3)[1]  # gates N3, CN21, CN32 in order
+        program = prep_pulse_program()[1]  # gates N3, CN21, CN32 in order
         delays = [e for e in program.elements if hasattr(e, "duration_expr")]
         assert [d.duration_expr for d in delays] == ["1/(2*J12)", "1/(2*J23)"]
         assert "delay[1/(2*J12)]" in program.describe()
-
-    def test_unsupported_spin_count(self):
-        with pytest.raises(ValueError):
-            prep_pulse_program(4)

@@ -25,7 +25,6 @@ from . import __version__
 from .formula import (
     assignment_bits,
     conflicts,
-    drop_repeated_literals,
     parse_formula,
     reverse_bits,
     solutions,
@@ -130,7 +129,7 @@ def _load_params(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    f = drop_repeated_literals(parse_formula(args.formula, n=args.n))
+    f = parse_formula(args.formula, n=args.n)
     psi = run_pipeline(f)
     probs = measure_distribution(psi)
     top = int(np.argmax(probs))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,13 +114,6 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
     elif n < max_var:
         raise FormulaParseError(0, f"n={n} is smaller than the largest variable index {max_var}")
     return Formula(n, tuple(clauses))
-
-
-def drop_repeated_literals(f: Formula) -> Formula:
-    """f with each repeated clause kept once, at its first occurrence: the
-    same solutions, and inside the single-step guarantee (each variable in at
-    most one clause) unless a variable appears with both signs."""
-    return replace(f, clauses=tuple(dict.fromkeys(f.clauses)))
 
 
 def variable_value(assignment: int, variable: int, n: int) -> bool:

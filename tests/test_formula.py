@@ -12,7 +12,6 @@ from hoggsat.formula import (
     assignment_bits,
     conflict_counts,
     conflicts,
-    drop_repeated_literals,
     grover_success_probability,
     hamming_distance,
     negate_variable,
@@ -94,13 +93,6 @@ class TestSolutions:
         f = Formula(2, (Clause((Literal(1), Literal(2))),))
         assert solutions(f) == {0b01, 0b10, 0b11}
         assert solutions(f) == brute_force_solutions(f)
-
-    def test_drop_repeated_literals(self):
-        f = one_sat(2, 1, 2, -1, 1, n=3)
-        dropped = drop_repeated_literals(f)
-        assert dropped == one_sat(2, 1, -1, n=3)  # first occurrences, in order
-        assert solutions(dropped) == solutions(f)
-        assert drop_repeated_literals(dropped) == dropped
 
     def test_soluble_one_sat_count(self):
         # |solutions| = 2**(n-m) for contradiction-free 1-SAT, exhaustively

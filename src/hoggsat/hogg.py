@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import MAX_VARIABLES, Formula, conflict_counts
-from .linalg import phase_aligned_error, popcount
+from .linalg import phase_aligned_error
 
 OPERATOR_TOL = 1e-10
 #: Seed of the Gaussian probe vector x on which `verify_wgw` checks W(Wx) = x.
@@ -87,7 +87,7 @@ def gamma_matrix(n: int, m: int) -> np.ndarray:
     check_qubit_count(n)
     if m < 0:
         raise ValueError("clause count must be nonnegative")
-    h = popcount(np.arange(2**n, dtype=np.uint32))
+    h = np.bitwise_count(np.arange(2**n)).astype(np.int64)  # uint8 would wrap in m - 2*h - 1
     if m % 2 == 0:
         return (np.sqrt(2) * np.cos((m - 2 * h - 1) * np.pi / 4)).astype(complex)
     return (1j**h) * np.exp(-1j * np.pi * m / 4)
@@ -99,7 +99,7 @@ def mixing_column(n: int, m: int) -> np.ndarray:
     check_qubit_count(n)
     if m < 0:
         raise ValueError("clause count must be nonnegative")
-    d = popcount(np.arange(2**n, dtype=np.uint32))
+    d = np.bitwise_count(np.arange(2**n)).astype(np.int64)
     if m % 2 == 0:
         return (2 ** (-(n - 1) / 2) * np.cos((n - m + 1 - 2 * d) * np.pi / 4)).astype(complex)
     return 2 ** (-n / 2) * np.exp(1j * np.pi * (n - m) / 4) * (-1j) ** d

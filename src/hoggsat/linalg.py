@@ -32,8 +32,8 @@ _AXIS_MATRICES = {
 AXES = tuple(_AXIS_MATRICES)
 
 #: Largest n for which a dense 2**n x 2**n complex matrix (256 MiB at 12) is
-#: built: the sequence unitaries and `search_unitary` behind `pulse verify`
-#: and the `compile-*` round trips.
+#: built: the full unitaries of `pulse verify`, the tip conjugation of an
+#: `@gradient off` scheme and the density matrices of `spin_sim`.
 MAX_DENSE_QUBITS = 12
 
 
@@ -42,16 +42,6 @@ def check_dense_size(n: int) -> None:
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"n={n} needs a dense 2**{n} x 2**{n} complex matrix ({16 * 4**n / 2**30:g} "
                          f"GiB); dense routes are capped at n={MAX_DENSE_QUBITS}")
-
-
-def popcount(values):
-    """Number of set bits, elementwise, for nonnegative ints below 2**32."""
-    v = np.asarray(values, dtype=np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    out = ((v * 0x01010101) >> 24).astype(np.int64)
-    return out if out.ndim else int(out)
 
 
 def kron_all(matrices) -> np.ndarray:
@@ -66,13 +56,6 @@ def rotation(axis: str, angle: float) -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown rotation axis {axis!r}") from None
     return np.cos(angle / 2) * IDENTITY_2 - 1j * np.sin(angle / 2) * sigma
-
-
-def embed_single(op: np.ndarray, spin: int, n: int) -> np.ndarray:
-    """Lift a 2x2 operator acting on `spin` (1-based) into the full 2**n space."""
-    if not 1 <= spin <= n:
-        raise ValueError(f"spin index {spin} out of range for {n} spins")
-    return kron_all([op if k == spin else IDENTITY_2 for k in range(1, n + 1)])
 
 
 def phase_aligned_error(candidate: np.ndarray, reference: np.ndarray) -> tuple[float, complex]:

@@ -26,9 +26,8 @@ import numpy as np
 
 from .formula import Formula, parse_assignment_bits, reverse_bits
 from .hogg import gamma_matrix, phase_matrix, walsh_apply
-from .linalg import (IDENTITY_2, check_dense_size, embed_single, kron_all, phase_aligned_error,
-                     rotation)
-from .spin_sim import CNot, Flip, three_spin_prep_scheme
+from .linalg import IDENTITY_2, check_dense_size, kron_all, phase_aligned_error, rotation
+from .spin_sim import CNot, Flip, gate_image, three_spin_prep_scheme
 
 QUARTER_TURN = np.pi / 2
 
@@ -155,8 +154,6 @@ def parse_pulse_sequence(text: str) -> PulseSequence:
                 raise PulseParseError(j, "pulse needs a spin index")
             spin, j = _scan_int(text, j)
             if j < len(text) and text[j] == "^":
-                if reps != 1:
-                    raise PulseParseError(j, "exponent given twice")
                 reps, j = _scan_int(text, j + 1)
                 if reps < 1:
                     raise PulseParseError(j, "exponent must be at least 1")
@@ -165,20 +162,25 @@ def parse_pulse_sequence(text: str) -> PulseSequence:
     return PulseSequence(tuple(pulses))
 
 
-def sequence_to_unitary(seq: PulseSequence, n: int) -> np.ndarray:
-    """Unitary of a sequence on n spins, rightmost pulse applied first.
+def sequence_factors(seq: PulseSequence, n: int) -> list[np.ndarray]:
+    """The n single-spin 2x2 factors of a sequence, spin 1 first.
 
     Pulses on distinct spins commute, so each spin's pulses are multiplied
-    in written order and the n single-spin factors are joined by one
-    Kronecker product.
+    in written order, rightmost pulse applied first.
     """
-    check_dense_size(n)
     factors = [IDENTITY_2] * n
     for pulse in seq.pulses:
         if not 1 <= pulse.spin <= n:
             raise ValueError(f"pulse spin {pulse.spin} out of range for n={n}")
         factors[pulse.spin - 1] = factors[pulse.spin - 1] @ pulse.matrix()
-    return kron_all(factors)
+    return factors
+
+
+def sequence_to_unitary(seq: PulseSequence, n: int) -> np.ndarray:
+    """Dense unitary of a sequence on n spins: its factors joined by one
+    Kronecker product."""
+    check_dense_size(n)
+    return kron_all(sequence_factors(seq, n))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +413,8 @@ class LoweredProgram:
 def program_unitary(program: LoweredProgram, n: int) -> np.ndarray:
     out = np.eye(2**n, dtype=complex)
     for element in program.elements:
-        mat = element.matrix(n) if isinstance(element, JDelay) else embed_single(
-            element.matrix(), element.spin, n)
+        mat = element.matrix(n) if isinstance(element, JDelay) else sequence_to_unitary(
+            PulseSequence((element,)), n)
         out = mat @ out
     return out
 
@@ -449,3 +451,16 @@ def prep_pulse_program() -> list[LoweredProgram]:
             elements.extend(lower_gate(gate))
         programs.append(LoweredProgram(f"experiment {index}: {experiment}", tuple(elements)))
     return programs
+
+
+def lowering_errors() -> list[tuple[LoweredProgram, float]]:
+    """Each program of `prep_pulse_program` with its max error, up to global
+    phase, against the permutation matrix of its experiment's gate chain."""
+    n, rows = 3, []
+    for program, experiment in zip(prep_pulse_program(), three_spin_prep_scheme().experiments):
+        image = np.arange(2**n)
+        for gate in experiment.gates:
+            image = image[gate_image(gate, n)]
+        err, _ = phase_aligned_error(program_unitary(program, n), np.eye(2**n)[image])
+        rows.append((program, err))
+    return rows

@@ -26,7 +26,10 @@ Conventions:
   experiment's contribution before it enters the temporal-averaging sum
   (Knill, Chuang & Laflamme, PRA 57, 3348 (1998)), so a gradient-on
   contribution is the thermal populations permuted by the gates and mixed
-  pairwise by the tips (`run_experiment`).
+  pairwise by the tips (`run_experiment`).  Without the gradient the tips
+  leave coherences: the same permuted populations p are conjugated by the
+  tips' product T, one y rotation per spin joined by one Kronecker product,
+  as the dense T diag(p) T^H.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .hogg import check_qubit_count, walsh_apply
-from .linalg import check_dense_size, embed_single, popcount, rotation
+from .linalg import check_dense_size, kron_all, rotation
 
 
 def _as_populations(state) -> tuple[np.ndarray, float, int]:
@@ -71,7 +74,7 @@ def thermal_populations(n: int) -> np.ndarray:
     """Populations at thermal equilibrium: the sum of I_kz over all spins,
     with equal unit weights (homonuclear system), n/2 - popcount(i)."""
     check_qubit_count(n)
-    return n / 2 - popcount(np.arange(2**n))
+    return n / 2 - np.bitwise_count(np.arange(2**n))
 
 
 def pseudo_pure_populations(n: int) -> np.ndarray:
@@ -253,47 +256,47 @@ def _tip(populations: np.ndarray, spin: int, count: int, n: int) -> np.ndarray:
     level passes sin(count*pi/4)**2 of its population to its partner across
     the spin's bit, an exact half (a + b) / 2 for odd counts, all of it for
     2 (mod 4), none for 0 (mod 4)."""
-    partner = populations[np.arange(2**n) ^ _spin_bit(spin, n, f"TIP{spin}")]
+    partner = populations[np.arange(2**n) ^ (1 << (n - spin))]
     if count % 2:
         return (populations + partner) / 2
     return partner if count % 4 == 2 else populations
 
 
-def run_experiment(experiment: Experiment, n: int) -> np.ndarray:
-    """Populations of one experiment's gradient-on contribution: the thermal
-    populations permuted by the gates in application order, then mixed by
-    the tips (tips on different spins commute)."""
+def _gated_populations(experiment: Experiment, n: int) -> tuple[np.ndarray, Counter]:
+    """The thermal populations permuted by the gates in application order,
+    and the tip count of each spin, every tipped spin range-checked."""
     populations = thermal_populations(n)
     for gate in experiment.gates:
         populations = populations[gate_image(gate, n)]
-    for spin, count in Counter(experiment.tip_spins).items():
+    tips = Counter(experiment.tip_spins)
+    for spin in tips:
+        _spin_bit(spin, n, f"TIP{spin}")
+    return populations, tips
+
+
+def run_experiment(experiment: Experiment, n: int) -> np.ndarray:
+    """Populations of one experiment's gradient-on contribution: the gated
+    thermal populations mixed by the tips (tips on different spins commute)."""
+    populations, tips = _gated_populations(experiment, n)
+    for spin, count in tips.items():
         populations = _tip(populations, spin, count, n)
     return populations
-
-
-def experiment_unitary(experiment: Experiment, n: int) -> np.ndarray:
-    """Dense unitary of one experiment's gate chain (tips included), gates in
-    application order; a gate permutes the rows."""
-    check_dense_size(n)
-    out = np.eye(2**n, dtype=complex)
-    for gate in experiment.gates:
-        out = out[gate_image(gate, n)]
-    for spin in experiment.tip_spins:
-        out = embed_single(rotation("y", np.pi / 2), spin, n) @ out
-    return out
 
 
 def _contributions(scheme: PrepScheme, n: int):
     """Yield each experiment's contribution to the temporal-averaging sum on
     the route the scheme's gradient flag picks: with the gradient on, its
-    populations (`run_experiment`); with it off, where a tip leaves
-    coherences, the dense deviation matrix U rho U^H."""
+    populations (`run_experiment`); with it off, the dense T diag(p) T^H of
+    the gated populations p, where T rotates spin k about y by t_k*pi/2 for
+    its t_k tips."""
     for experiment in scheme.experiments:
         if scheme.gradient:
             yield run_experiment(experiment, n)
         else:
-            u = experiment_unitary(experiment, n)
-            yield (u * thermal_populations(n)) @ u.conj().T
+            check_dense_size(n)
+            populations, tips = _gated_populations(experiment, n)
+            t = kron_all([rotation("y", tips[k] * np.pi / 2) for k in range(1, n + 1)])
+            yield (t * populations) @ t.conj().T
 
 
 class PrepReport(NamedTuple):
@@ -623,12 +626,12 @@ def lint_scheme(scheme: PrepScheme, system: SpinSystem) -> list[str]:
             seen.add(pair)
             j = system.coupling(*pair)
             if j == 0.0:
-                warnings.append(f"CN{gate.control}{gate.target}: spins {pair[0]} and {pair[1]} are uncoupled")
+                warnings.append(f"{gate}: spins {pair[0]} and {pair[1]} are uncoupled")
                 continue
             tau = 1.0 / (2.0 * j)
             if min_t2 is not None and tau >= min_t2:
                 warnings.append(
-                    f"CN{gate.control}{gate.target}: coupling evolution 1/(2*J) = {tau:.3f} s "
+                    f"{gate}: coupling evolution 1/(2*J) = {tau:.3f} s "
                     f"reaches the shortest T2 = {min_t2:.2f} s; exclude this gate"
                 )
     return warnings

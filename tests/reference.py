@@ -1,25 +1,43 @@
 """Dense reference operators for the test suite.
 
 The library builds the search operators from butterflies and diagonals,
-keeps diagonal deviation states as population vectors and reads spectra and
-z-product terms off the populations; the functions here form the same
-objects as whole 2**n x 2**n matrices, the obvious way, so the fast routes
-can be checked against them.  Keep n small.
+keeps diagonal deviation states as population vectors, reads spectra and
+z-product terms off the populations and builds single-spin operators as
+per-spin factors; the functions here form the same objects as whole
+2**n x 2**n matrices, the obvious way, so the fast routes can be checked
+against them.  Keep n small.
 """
 
 import itertools
 
 import numpy as np
 
+from hoggsat.formula import Clause, Formula, Literal
 from hoggsat.hogg import WgwReport, gamma_matrix, mixing_column, phase_matrix
-from hoggsat.linalg import embed_single, kron_all, phase_aligned_error, popcount, rotation
+from hoggsat.linalg import IDENTITY_2, kron_all, phase_aligned_error, rotation
 from hoggsat.spin_sim import CNot, SpectralLine
+
+
+def one_sat_formulas(n):
+    """Every formula of m = 1..n single-literal clauses on distinct
+    variables among n, each variable in either sign."""
+    for m in range(1, n + 1):
+        for subset in itertools.combinations(range(1, n + 1), m):
+            for signs in itertools.product((False, True), repeat=m):
+                yield Formula(n, tuple(Clause((Literal(v, s),)) for v, s in zip(subset, signs)))
+
+
+def embed_single(op, spin, n):
+    """Lift a 2x2 operator acting on `spin` (1-based) into the full 2**n space."""
+    if not 1 <= spin <= n:
+        raise ValueError(f"spin index {spin} out of range for {n} spins")
+    return kron_all([op if k == spin else IDENTITY_2 for k in range(1, n + 1)])
 
 
 def walsh_hadamard(n):
     """Dense n-qubit Walsh-Hadamard transform, W_rs = 2**(-n/2) (-1)**popcount(r AND s)."""
     idx = np.arange(2**n, dtype=np.uint32)
-    parity = popcount(idx[:, None] & idx[None, :]) & 1
+    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
     return (2 ** (-n / 2)) * np.where(parity, -1.0, 1.0).astype(complex)
 
 
@@ -103,7 +121,7 @@ def run_experiment(experiment, n):
         g = gate_unitary(gate, n) @ g
     for spin in experiment.tip_spins:
         g = embed_single(rotation("y", np.pi / 2), spin, n) @ g
-    thermal = np.diag(n / 2 - popcount(np.arange(2**n))).astype(complex)
+    thermal = np.diag(n / 2 - np.bitwise_count(np.arange(2**n))).astype(complex)
     return g @ thermal @ g.conj().T
 
 

@@ -7,15 +7,11 @@ failure).  Run the whole gate with::
     pytest tests/test_acceptance.py -v -s
 """
 
-import itertools
 import time
 
 import numpy as np
 
 from hoggsat.formula import (
-    Clause,
-    Formula,
-    Literal,
     grover_success_probability,
     negate_variable,
     parse_formula,
@@ -47,7 +43,7 @@ from hoggsat.spin_sim import (
     three_spin_prep_scheme,
     z_product_decomposition,
 )
-from reference import is_unitary, mixing_matrix, walsh_hadamard
+from reference import is_unitary, mixing_matrix, one_sat_formulas, walsh_hadamard
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])
@@ -75,13 +71,6 @@ def announce(number, passed, detail):
     line = f"[criterion {number:2d}] {'PASS' if passed else 'FAIL'}  {detail}"
     print(line)
     assert passed, line
-
-
-def all_one_sat_formulas(n):
-    for m in range(1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), m):
-            for signs in itertools.product((False, True), repeat=m):
-                yield Formula(n, tuple(Clause((Literal(v, s),)) for v, s in zip(subset, signs)))
 
 
 def test_criterion_01_three_clause_table_reproduction():
@@ -147,7 +136,7 @@ def test_criterion_05_one_sat_completeness():
     worst = 0.0
     checked = 0
     for n in range(1, 7):
-        for f in all_one_sat_formulas(n):
+        for f in one_sat_formulas(n):
             sols = solutions(f)
             if not sols:
                 continue
@@ -240,7 +229,7 @@ def test_criterion_10_property_suites():
         for m in range(1, n + 1):
             unitary_ok &= is_unitary(mixing_matrix(n, m), tol=1e-10)
             unitary_ok &= bool(np.abs(np.abs(gamma_matrix(n, m)) - 1).max() <= 1e-10)
-    for f in all_one_sat_formulas(4):
+    for f in one_sat_formulas(4):
         unitary_ok &= bool(np.abs(np.abs(phase_matrix(f)) - 1).max() <= 1e-10)
 
     # gate conjugation of a diagonal state permutes its populations: the
@@ -267,7 +256,7 @@ def test_criterion_10_property_suites():
     # permutation equivariance under variable negation, exhaustive n <= 4
     equivariance_ok = True
     for n in range(1, 5):
-        for f in all_one_sat_formulas(n):
+        for f in one_sat_formulas(n):
             base = measure_distribution(run_pipeline(f))
             for k in range(1, n + 1):
                 mask = 1 << (n - k)

@@ -194,12 +194,12 @@ class TestPrep:
         assert code == 0
         assert len(calls) == len(spin_sim.three_spin_prep_scheme().experiments)
 
-    def test_popcount_only_in_thermal_state(self, capsys, monkeypatch):
+    def test_one_walsh_transform_per_experiment(self, capsys, monkeypatch):
         # the z-product decomposition is one Walsh transform, not a popcount per term
-        calls = count_calls(monkeypatch, linalg, "popcount")
+        calls = count_calls(monkeypatch, hogg, "walsh_apply")
         code, _, _ = run_cli(capsys, "prep", "3")
         assert code == 0
-        assert calls == ["thermal_populations"] * len(spin_sim.three_spin_prep_scheme().experiments)
+        assert calls == ["z_product_decomposition"] * len(spin_sim.three_spin_prep_scheme().experiments)
 
 
     @pytest.mark.parametrize("gradient", ["on", "off"])
@@ -305,11 +305,12 @@ class TestPulse:
         assert "action on |000>: equivalent" in out
 
     def test_verify_builds_no_embedded_pulse(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, linalg, "embed_single")
+        # the sequence unitary is one Kronecker product of per-spin factors
+        calls = count_calls(monkeypatch, linalg, "kron_all")
         code, _, _ = run_cli(capsys, "pulse", "verify", "v1 & !v2 & v3 & !v4 & v5 & v6",
                              "(XY~X)1 (XY~X~)2 (XY~X)3 (XY~X~)4 (XY~X)5 (XY~X)6")
         assert code == 0
-        assert calls == []
+        assert calls == ["sequence_to_unitary"]
 
     def test_verify_empty_sequence_fails(self, capsys):
         code, out, _ = run_cli(capsys, "pulse", "verify", "v1", "")
@@ -325,6 +326,18 @@ class TestPulse:
         code, out, _ = run_cli(capsys, "pulse", "compile-gamma", "3", "--n", "3")
         assert code == 0
         assert "Z1 Z2 Z3" in out
+
+    @pytest.mark.parametrize("argv,compiled", [
+        (("compile-gamma", "3", "--n", "16"), " ".join(f"Z{k}" for k in range(1, 17))),
+        (("compile-r", "v1 & v8 & v16"), "Z~1 Z~8 Z~16"),
+    ])
+    def test_compile_reaches_the_formula_cap(self, capsys, argv, compiled):
+        # the round trip joins the factors' diagonals, no 2**16 x 2**16 matrix
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "pulse", *argv)
+        assert code == 0
+        assert f"compiled sequence: {compiled}\n" in out
+        assert time.perf_counter() - start < 1.0
 
     def test_compile_r_even_m_falls_back(self, capsys):
         code, out, _ = run_cli(capsys, "pulse", "compile-r", "v1 & v2")
@@ -359,7 +372,7 @@ class TestSpectrum:
         assert "5.0000" in out and "-5.0000" in out
 
     def test_reads_lines_from_the_diagonal(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, linalg, "embed_single")
+        calls = count_calls(monkeypatch, linalg, "kron_all")
         code, _, _ = run_cli(capsys, "spectrum", "prep", "--spin", "2")
         assert code == 0
         assert calls == []
@@ -375,7 +388,6 @@ class TestSpectrum:
 @pytest.mark.parametrize("argv", [
     ("verify", "17", "1"),
     ("verify", "--all", "--max-n", "17"),
-    ("pulse", "compile-r", "v1 & v8 & v16"),
     ("pulse", "verify", "v16", ""),
 ])
 def test_dense_cap_rejects_before_allocating(capsys, monkeypatch, argv):

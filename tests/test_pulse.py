@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,26 +15,21 @@ from hoggsat.pulse import (
     PulseSequence,
     THREE_SPIN_TABLE,
     compile_diagonal,
+    lowering_errors,
     parse_pulse_sequence,
     prep_pulse_program,
     program_unitary,
     reduce_sequence,
     search_unitary,
+    sequence_factors,
     sequence_to_unitary,
     verify_table_sequence,
 )
-from hoggsat.spin_sim import experiment_unitary, three_spin_prep_scheme
-from reference import is_unitary
+from hoggsat.spin_sim import three_spin_prep_scheme
+from reference import is_unitary, one_sat_formulas
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
-
-
-def one_sat_formulas(n):
-    for m in range(1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), m):
-            for signs in itertools.product((False, True), repeat=m):
-                yield Formula(n, tuple(Clause((Literal(v, s),)) for v, s in zip(subset, signs)))
 
 
 class TestParsing:
@@ -82,6 +75,12 @@ class TestParsing:
         with pytest.raises(PulseParseError) as exc:
             parse_pulse_sequence("(XY)")
         assert exc.value.position == 4
+
+    def test_exponent_before_the_spin_takes_its_digits(self):
+        # X^21 reads as 21 quarter turns with no spin left to name
+        with pytest.raises(PulseParseError) as exc:
+            parse_pulse_sequence("X^21")
+        assert (exc.value.position, exc.value.reason) == (4, "pulse needs a spin index")
 
     def test_to_text_round_trip(self):
         for text in ("X1 Y~2 Z3^2", "X1^2 Y2 Y3"):
@@ -130,6 +129,14 @@ class TestSequenceUnitary:
     def test_dense_cap(self):
         with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
             sequence_to_unitary(EMPTY_SEQUENCE, 13)
+
+    def test_factors_reach_the_formula_cap(self):
+        seq = parse_pulse_sequence("(XY~X)1 Z~8 Y16^3")
+        factors = sequence_factors(seq, 16)
+        assert len(factors) == 16 and all(f.shape == (2, 2) for f in factors)
+        assert np.array_equal(factors[1], np.eye(2))
+        with pytest.raises(ValueError, match="pulse spin 16 out of range for n=15"):
+            sequence_factors(seq, 15)
 
 
 class TestCompileDiagonal:
@@ -326,10 +333,12 @@ class TestLoweredPrograms:
 
     def test_programs_match_gate_chains(self):
         scheme = three_spin_prep_scheme()
-        for program, experiment in zip(prep_pulse_program(), scheme.experiments):
-            err, phase = phase_aligned_error(
-                program_unitary(program, 3), experiment_unitary(experiment, 3))
-            assert err < 1e-10, program.label
+        for (program, err), experiment in zip(lowering_errors(), scheme.experiments):
+            chain = np.eye(8)
+            for gate in experiment.gates:
+                chain = reference.gate_unitary(gate, 3) @ chain
+            expected, phase = phase_aligned_error(program_unitary(program, 3), chain)
+            assert err == expected and err < 1e-10, program.label
             assert abs(abs(phase) - 1) < 1e-12
 
     def test_delays_stay_symbolic(self):

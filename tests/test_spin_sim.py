@@ -20,7 +20,6 @@ from hoggsat.spin_sim import (
     SpinSystemParseError,
     diag_tomography,
     error_metrics,
-    experiment_unitary,
     format_z_terms,
     four_spin_prep_scheme,
     gate_image,
@@ -285,11 +284,6 @@ class TestPrepSchemes:
         assert np.array_equal(reference.zero_off_diagonal(np.diag(populations)), np.diag(populations))
         assert np.abs(populations - dense_populations(experiment, 3)).max() < 1e-12
 
-    def test_experiment_unitary_matches_stepwise(self):
-        for experiment in (three_spin_prep_scheme().experiments[1], Experiment((CNot(2, 3),), (1, 3, 1))):
-            g = experiment_unitary(experiment, 3)
-            assert np.abs(g @ thermal_state(3) @ g.conj().T - reference.run_experiment(experiment, 3)).max() < 1e-12
-
     def test_gradient_off_keeps_coherences(self):
         # without the crusher a tip leaves off-diagonal content
         experiment = Experiment((CNot(1, 2),), (3,))
@@ -549,6 +543,31 @@ def test_population_route_matches_dense_reference(n, data):
         assert np.abs(run_experiment(experiment, n) - want).max() <= 1e-12
     assert np.abs(report.sum_diagonal - sum(expected)).max() <= 1e-12
     assert report.sum_off_diagonal_max == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_gradient_off_route_matches_dense_reference(n, data):
+    # gradient off: T diag(p) T^H with one y rotation per spin equals the
+    # dense product of gate and single-tip matrices, for random gates and
+    # 1-5 tips on each of several spins
+    experiments = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        gates = tuple(draw_gate(data, n) for _ in range(data.draw(st.integers(0, 4))))
+        spins = data.draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+        tips = tuple(spin for spin in spins for _ in range(data.draw(st.integers(1, 5))))
+        experiments.append(Experiment(gates, tips))
+    scheme = PrepScheme(tuple(experiments), gradient=False)
+    dense = [reference.run_experiment(e, n) for e in experiments]
+    total = sum(dense)
+    report = prep_report(scheme, n)
+    assert np.abs(run_prep_scheme(scheme, n) - total).max() <= 1e-12
+    assert np.abs(report.sum_diagonal - np.diagonal(total).real).max() <= 1e-12
+    assert abs(report.sum_off_diagonal_max - np.abs(total - np.diag(np.diagonal(total))).max()) <= 1e-12
+    for (coeffs, residual), rho in zip(report.experiments, dense):
+        expected, expected_residual = reference.z_product_decomposition(rho)
+        assert max(abs(coeffs[s] - expected[s]) for s in expected) <= 1e-12
+        assert abs(residual - expected_residual) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

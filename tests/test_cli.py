@@ -389,6 +389,8 @@ class TestSpectrum:
     ("verify", "17", "1"),
     ("verify", "--all", "--max-n", "17"),
     ("pulse", "verify", "v16", ""),
+    # compile-r reaches n=16, but checking its output against U R W is dense
+    ("pulse", "verify", "v1 & v8 & v16", "Z~1 Z~8 Z~16"),
 ])
 def test_dense_cap_rejects_before_allocating(capsys, monkeypatch, argv):
     # verify has no dense route: it stops at the formula cap before any pair runs

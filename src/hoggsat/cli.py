@@ -37,7 +37,7 @@ from .hogg import (
     run_pipeline,
     verify_wgw,
 )
-from .linalg import kron_all, phase_aligned_error
+from .linalg import MAX_DENSE_QUBITS, kron_all, phase_aligned_error
 from .pulse import (
     NotTensorFactorable,
     compile_diagonal,
@@ -347,8 +347,9 @@ def _compile(command: str, label: str, diag: np.ndarray, n: int, as_json: bool) 
         seq = compile_diagonal(diag)
     except NotTensorFactorable as exc:
         report.update({"target": label, "compiled": None, "error": str(exc)})
-        _emit(report, [f"target: {label}", f"not tensor-factorable: {exc}",
-                       "fall back to dense simulation"], as_json)
+        advice = ("fall back to dense simulation" if n <= MAX_DENSE_QUBITS
+                  else f"no dense fallback: dense routes stop at n={MAX_DENSE_QUBITS}")
+        _emit(report, [f"target: {label}", f"not tensor-factorable: {exc}", advice], as_json)
         return 1
     # z-rotation factors are diagonal, so the round trip needs only their diagonals
     realized = kron_all([factor.diagonal() for factor in sequence_factors(seq, n)])

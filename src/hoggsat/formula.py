@@ -71,6 +71,13 @@ class Formula:
         """Clause count."""
         return len(self.clauses)
 
+    @property
+    def distinct_variables(self) -> bool:
+        """True when every clause holds one literal and no variable appears
+        twice: the precondition of the single-step guarantee."""
+        variables = {lit.variable for clause in self.clauses for lit in clause.literals}
+        return len(variables) == self.m == sum(len(clause.literals) for clause in self.clauses)
+
     def __str__(self) -> str:
         return " & ".join(str(c) for c in self.clauses)
 
@@ -172,25 +179,6 @@ def solutions(f: Formula) -> frozenset[int]:
     """All assignments with zero conflicts, by exhaustive enumeration."""
     zero = np.nonzero(conflict_counts(f) == 0)[0]
     return frozenset(int(a) for a in zero)
-
-
-def hamming_distance(r: int, s: int) -> int:
-    """Number of bit positions in which two assignments differ."""
-    return int(r ^ s).bit_count()
-
-
-def negate_variable(f: Formula, variable: int) -> Formula:
-    """Flip the sign of every occurrence of V_variable."""
-    if not 1 <= variable <= f.n:
-        raise ValueError(f"variable {variable} out of range for n={f.n}")
-    new_clauses = tuple(
-        Clause(tuple(
-            Literal(lit.variable, not lit.negated if lit.variable == variable else lit.negated)
-            for lit in clause.literals
-        ))
-        for clause in f.clauses
-    )
-    return Formula(f.n, new_clauses)
 
 
 def grover_success_probability(n: int, iterations: int) -> float:

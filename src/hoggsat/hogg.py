@@ -24,11 +24,25 @@ only hold up to a global phase perform explicit alignment instead of baking
 normalization into the constructors.
 
 U_rs depends only on r XOR s, so U is the XOR-convolution with its column
-0 (`mixing_column`) and W diagonalizes it.  Every stage is a diagonal or the
-O(n * 2**n) Walsh-Hadamard butterfly (`walsh_apply`), and no function here
-builds a 2**n x 2**n matrix: `run_pipeline` and `verify_wgw` work on
-vectors, and both reach the formula model's cap n = 16.  The dense W and U
-live in the test suite as references.
+0 (`mixing_column`) and W diagonalizes it.  No function here builds a
+2**n x 2**n matrix: `run_pipeline` and `verify_wgw` work on vectors, and
+both reach the formula model's cap n = 16.  The dense W and U live in the
+test suite as references.
+
+`run_pipeline` takes one of two routes, picked by `Formula.distinct_variables`
+(every clause holds one literal and no variable repeats):
+
+* product: under that precondition the final state is an exact product
+  state (T. Hogg, PRL 80, 2473 (1998)).  R is i**c for odd m and
+  (e^{-i pi/4} i**c + e^{i pi/4} (-i)**c) / sqrt(2) for even m, and U splits
+  the same way, so U R W|0> is a sum of at most four Kronecker products of
+  per-qubit 2-vectors.  For even m the two cross terms put every
+  constrained qubit on its violating value and cancel; what is left, for
+  either parity of m, is 2**(-(n-m)/2) times the Kronecker product of
+  `search_factors`, with global phase exactly 1.
+  Solutions get identical amplitudes and every other entry is exactly 0.
+* butterfly: for repeated variables and k-literal clauses, every stage is a
+  diagonal or the O(n * 2**n) Walsh-Hadamard butterfly (`walsh_apply`).
 """
 
 from __future__ import annotations
@@ -161,8 +175,36 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     )
 
 
+def search_factors(f: Formula) -> np.ndarray:
+    """Per-qubit factors of the final state of a distinct-variable formula.
+
+    Row k - 1 belongs to V_k: the basis vector of its satisfying value when a
+    clause constrains it, (1, 1) when it is free.  U R W|0> is
+    2**(-(n-m)/2) times their Kronecker product (see the module docstring).
+    """
+    if not f.distinct_variables:
+        raise ValueError(f"{f} is not a formula of one-literal clauses on distinct variables")
+    factors = np.ones((f.n, 2))
+    for clause in f.clauses:
+        lit = clause.literals[0]
+        factors[lit.variable - 1, int(lit.negated)] = 0.0
+    return factors
+
+
 def run_pipeline(f: Formula) -> np.ndarray:
-    """Final state U R W |00...0> for formula f, as 2**n amplitudes."""
+    """Final state U R W |00...0> for formula f, as 2**n amplitudes: from
+    `search_factors` when `f.distinct_variables`, otherwise stage by stage
+    through the butterfly."""
+    if f.distinct_variables:
+        # two half-length Kronecker products joined by one outer product;
+        # multiplying by the 1s and 0s of the factors is exact
+        factors = search_factors(f)
+        left, right = np.array([2 ** (-(f.n - f.m) / 2)], dtype=complex), np.ones(1)
+        for row in factors[: f.n // 2]:
+            left = np.outer(left, row).ravel()
+        for row in factors[f.n // 2:]:
+            right = np.outer(right, row).ravel()
+        return np.outer(left, right).ravel()
     psi = np.full(2**f.n, 2 ** (-f.n / 2), dtype=complex)  # W|0...0>
     psi = phase_matrix(f) * psi
     psi = walsh_apply(psi)

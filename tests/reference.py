@@ -5,7 +5,9 @@ keeps diagonal deviation states as population vectors, reads spectra and
 z-product terms off the populations and builds single-spin operators as
 per-spin factors; the functions here form the same objects as whole
 2**n x 2**n matrices, the obvious way, so the fast routes can be checked
-against them.  Keep n small.
+against them.  Keep n small.  The search state also has its butterfly
+stages and its four-term Kronecker form here, and the formula helpers that
+only the tests call live here too.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import itertools
 import numpy as np
 
 from hoggsat.formula import Clause, Formula, Literal
-from hoggsat.hogg import WgwReport, gamma_matrix, mixing_column, phase_matrix
+from hoggsat.hogg import WgwReport, gamma_matrix, mixing_column, phase_matrix, walsh_apply
 from hoggsat.linalg import IDENTITY_2, kron_all, phase_aligned_error, rotation
 from hoggsat.spin_sim import CNot, SpectralLine
 
@@ -25,6 +27,77 @@ def one_sat_formulas(n):
         for subset in itertools.combinations(range(1, n + 1), m):
             for signs in itertools.product((False, True), repeat=m):
                 yield Formula(n, tuple(Clause((Literal(v, s),)) for v, s in zip(subset, signs)))
+
+
+def hamming_distance(r, s):
+    """Number of bit positions in which two assignments differ."""
+    return int(r ^ s).bit_count()
+
+
+def negate_variable(f, variable):
+    """Flip the sign of every occurrence of V_variable."""
+    if not 1 <= variable <= f.n:
+        raise ValueError(f"variable {variable} out of range for n={f.n}")
+    return Formula(f.n, tuple(
+        Clause(tuple(Literal(lit.variable, lit.negated != (lit.variable == variable))
+                     for lit in clause.literals))
+        for clause in f.clauses
+    ))
+
+
+def dense_search_state(f):
+    """U R W|0> with the dense U: mixing_matrix @ (phase_matrix * W[:, 0])."""
+    return mixing_matrix(f.n, f.m) @ (phase_matrix(f) * walsh_hadamard(f.n)[:, 0])
+
+
+def butterfly_state(f):
+    """W Gamma W R W|0> stage by stage, in the butterfly route's order of
+    operations, so that the route can be held to bit identity."""
+    psi = np.full(2**f.n, 2 ** (-f.n / 2), dtype=complex)
+    psi = walsh_apply(phase_matrix(f) * psi)
+    return walsh_apply(gamma_matrix(f.n, f.m) * psi)
+
+
+def four_term_factors(f):
+    """W Gamma W R W|0> for one-literal clauses (variables may repeat) as at
+    most four Kronecker products: a list of (coefficient, (n, 2) factor rows).
+
+    With c_k the clauses on V_k that a value violates, i**c is the product
+    of per-qubit diagonals i**c_k, and i**h that of diag(1, i).  R is i**c
+    for odd m and (e^{-i pi/4} i**c + e^{i pi/4} (-i)**c) / sqrt(2) for even
+    m; Gamma is e^{-i pi m/4} i**h for odd m and
+    (e^{i(m-1)pi/4} (-i)**h + e^{-i(m-1)pi/4} i**h) / sqrt(2) for even m.
+    Each qubit's factor is H diag_Gamma H diag_R H (1, 0).
+    """
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    violated = np.zeros((f.n, 2), dtype=int)
+    for clause in f.clauses:
+        (lit,) = clause.literals
+        violated[lit.variable - 1, int(lit.negated)] += 1
+    if f.m % 2:
+        r_terms, g_terms = [(1, 1)], [(np.exp(-1j * np.pi * f.m / 4), 1)]
+    else:
+        r_terms = [(np.exp(-1j * np.pi / 4) / np.sqrt(2), 1), (np.exp(1j * np.pi / 4) / np.sqrt(2), -1)]
+        g_terms = [(np.exp(1j * np.pi * (f.m - 1) / 4) / np.sqrt(2), -1),
+                   (np.exp(-1j * np.pi * (f.m - 1) / 4) / np.sqrt(2), 1)]
+    terms = []
+    for r_coef, r_sign in r_terms:
+        for g_coef, g_sign in g_terms:
+            rows = np.array([h @ (np.array([1, g_sign * 1j]) * (h @ ((r_sign * 1j) ** counts * h[:, 0])))
+                             for counts in violated])
+            terms.append((r_coef * g_coef, rows))
+    return terms
+
+
+def four_term_amplitude(f, index):
+    """Entry `index` of the four-term form, in O(n) per term."""
+    bits = [(index >> (f.n - k)) & 1 for k in range(1, f.n + 1)]
+    return sum(coef * np.prod(rows[np.arange(f.n), bits]) for coef, rows in four_term_factors(f))
+
+
+def four_term_state(f):
+    """The four-term form summed into 2**n amplitudes."""
+    return sum(coef * kron_all(rows) for coef, rows in four_term_factors(f))
 
 
 def embed_single(op, spin, n):

@@ -13,7 +13,6 @@ import numpy as np
 
 from hoggsat.formula import (
     grover_success_probability,
-    negate_variable,
     parse_formula,
     reverse_bits,
     solutions,
@@ -43,7 +42,7 @@ from hoggsat.spin_sim import (
     three_spin_prep_scheme,
     z_product_decomposition,
 )
-from reference import is_unitary, mixing_matrix, one_sat_formulas, walsh_hadamard
+from reference import is_unitary, mixing_matrix, negate_variable, one_sat_formulas, walsh_hadamard
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])

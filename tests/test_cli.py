@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hoggsat
-from hoggsat import cli, hogg, linalg, pulse, spin_sim
+from hoggsat import cli, formula, hogg, linalg, pulse, spin_sim
 from hoggsat.cli import main
 from hoggsat.pulse import THREE_SPIN_TABLE
 from hoggsat.spin_sim import MEASURED_PREP_DIAG, MEASURED_SEARCH_DIAGS
@@ -43,7 +43,7 @@ def count_calls(monkeypatch, module, name):
         calls.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
-    for namespace in (hoggsat, cli, hogg, linalg, pulse, spin_sim):
+    for namespace in (hoggsat, cli, formula, hogg, linalg, pulse, spin_sim):
         for key, value in list(vars(namespace).items()):
             if value is original:
                 monkeypatch.setattr(namespace, key, counted)
@@ -79,6 +79,26 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "v1 & nonsense")
         assert code == 2
         assert "error" in err
+
+    def test_zero_tolerance_lists_only_solutions(self, capsys):
+        # unsupported entries are exact zeros, not rounding noise
+        code, out, _ = run_cli(capsys, "solve", "v1 & !v2", "--tolerance", "0")
+        assert code == 0
+        assert out.splitlines()[2:4] == ["  10 : 1.000000000000", "top assignment: 10   probability 1.000000000000"]
+
+    @pytest.mark.parametrize("text,walsh,counts", [
+        # distinct variables: the product route, and solutions() counts conflicts once
+        ("v1 & !v4 & v9 & !v16", [], ["solutions"]),
+        # a repeated variable keeps the butterfly
+        ("v1 & v2 & v1", ["run_pipeline"] * 2, ["phase_matrix", "solutions"]),
+    ])
+    def test_route_at_the_formula_cap(self, capsys, monkeypatch, text, walsh, counts):
+        walsh_calls = count_calls(monkeypatch, hogg, "walsh_apply")
+        conflict_calls = count_calls(monkeypatch, formula, "conflict_counts")
+        code, _, _ = run_cli(capsys, "solve", text, "--n", "16")
+        assert code == 0
+        assert walsh_calls == walsh
+        assert conflict_calls == counts
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "solve", "!v1 & v3", "--json")
@@ -343,6 +363,12 @@ class TestPulse:
         code, out, _ = run_cli(capsys, "pulse", "compile-r", "v1 & v2")
         assert code == 1
         assert "fall back to dense simulation" in out
+
+    def test_no_dense_fallback_past_the_dense_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "pulse", "compile-gamma", "0", "--n", "16")
+        assert code == 1
+        assert "fall back" not in out
+        assert out.endswith(f"no dense fallback: dense routes stop at n={linalg.MAX_DENSE_QUBITS}\n")
 
     def test_lower(self, capsys):
         code, out, _ = run_cli(capsys, "pulse", "lower")

@@ -13,14 +13,13 @@ from hoggsat.formula import (
     conflict_counts,
     conflicts,
     grover_success_probability,
-    hamming_distance,
-    negate_variable,
     parse_assignment_bits,
     parse_formula,
     reverse_bits,
     solutions,
     variable_value,
 )
+from reference import hamming_distance, negate_variable
 
 
 def one_sat(*signed_vars, n=None):
@@ -203,6 +202,17 @@ class TestValidation:
     def test_clause_nonempty(self):
         with pytest.raises(ValueError):
             Clause(())
+
+    @pytest.mark.parametrize("f,distinct", [
+        (parse_formula("v1 & !v2 & v3"), True),
+        (parse_formula("!v5", n=16), True),
+        (parse_formula("v1 & v1"), False),
+        (parse_formula("v1 & !v1"), False),
+        (Formula(2, (Clause((Literal(1), Literal(2))),)), False),
+        (Formula(3, (Clause((Literal(1),)), Clause((Literal(2), Literal(3))))), False),
+    ])
+    def test_distinct_variables(self, f, distinct):
+        assert f.distinct_variables is distinct
 
 
 @settings(max_examples=60)

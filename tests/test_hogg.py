@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
 from hoggsat import hogg
-from hoggsat.formula import Clause, Formula, Literal, negate_variable, parse_formula, solutions
+from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions
 from hoggsat.hogg import (
     WgwReport,
     gamma_matrix,
@@ -14,10 +14,11 @@ from hoggsat.hogg import (
     mixing_column,
     phase_matrix,
     run_pipeline,
+    search_factors,
     verify_wgw,
     walsh_apply,
 )
-from reference import is_unitary, mixing_matrix, one_sat_formulas, walsh_hadamard
+from reference import is_unitary, mixing_matrix, negate_variable, one_sat_formulas, walsh_hadamard
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])
@@ -286,6 +287,70 @@ class TestPipeline:
                     flipped = measure_distribution(run_pipeline(negate_variable(f, k)))
                     permuted = np.array([base[a ^ mask] for a in range(2**n)])
                     assert np.abs(flipped - permuted).max() < 1e-12
+
+
+@st.composite
+def distinct_variable_formulas(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    variables = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, n))]
+    return Formula(n, tuple(Clause((Literal(v, draw(st.booleans())),)) for v in variables))
+
+
+@st.composite
+def butterfly_formulas(draw, max_n):
+    """Formulas outside the product route: a variable repeats or a clause
+    holds several literals."""
+    n = draw(st.integers(1, max_n))
+    clauses = []
+    for _ in range(draw(st.integers(1, 6))):
+        variables = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, min(n, 2)))]
+        clauses.append(Clause(tuple(Literal(v, draw(st.booleans())) for v in variables)))
+    f = Formula(n, tuple(clauses))
+    assume(not f.distinct_variables)
+    return f
+
+
+class TestSearchFactors:
+    def test_closed_form(self):
+        factors = search_factors(parse_formula("v1 & !v3", n=4))
+        assert factors.tolist() == [[0, 1], [1, 1], [1, 0], [1, 1]]
+
+    @pytest.mark.parametrize("f", [
+        parse_formula("v1 & v1"),
+        parse_formula("v1 & !v1"),
+        Formula(2, (Clause((Literal(1), Literal(2))),)),
+    ])
+    def test_rejects_formulas_outside_the_guarantee(self, f):
+        with pytest.raises(ValueError):
+            search_factors(f)
+
+    def test_formula_cap_solutions_share_one_exact_amplitude(self):
+        f = parse_formula("v1 & !v5 & v16", n=16)
+        psi = run_pipeline(f)
+        sols = sorted(solutions(f))
+        assert set(psi[sols].tolist()) == {2 ** -6.5 + 0j}
+        assert np.count_nonzero(psi) == len(sols)
+        assert int(np.argmax(measure_distribution(psi))) == sols[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(distinct_variable_formulas(10))
+    def test_product_route_matches_dense_reference(self, f):
+        # no phase alignment: the global phase is part of the claim
+        assert np.abs(run_pipeline(f) - reference.dense_search_state(f)).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(distinct_variable_formulas(10))
+    def test_four_term_form_has_phase_one_at_a_solution(self, f):
+        lowest = min(solutions(f))
+        amplitude = reference.four_term_amplitude(f, lowest)
+        assert abs(amplitude - 2 ** (-(f.n - f.m) / 2)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(butterfly_formulas(6))
+    def test_other_formulas_keep_the_butterfly_bit_for_bit(self, f):
+        assert np.array_equal(run_pipeline(f), reference.butterfly_state(f))
+        if all(len(clause.literals) == 1 for clause in f.clauses):
+            assert np.abs(reference.four_term_state(f) - run_pipeline(f)).max() <= 1e-12
 
 
 class TestMeasureDistribution:

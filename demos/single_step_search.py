@@ -11,7 +11,7 @@ import numpy as np
 
 from hoggsat import (
     assignment_bits,
-    conflicts,
+    conflict_counts,
     grover_success_probability,
     measure_distribution,
     parse_formula,
@@ -31,7 +31,7 @@ for text in FORMULAS:
     f = parse_formula(text, n=3)
     probs = measure_distribution(run_pipeline(f))
     top = int(np.argmax(probs))
-    verdict = "SAT" if conflicts(f, top) == 0 else "UNSAT"
+    verdict = "SAT" if conflict_counts(f)[top] == 0 else "UNSAT"
     print(f"{text:16s} -> ", end="")
     support = [f"{assignment_bits(a, f.n)}:{p:.3f}" for a, p in enumerate(probs) if p > 1e-9]
     print(" ".join(support), f" verdict={verdict}")

@@ -24,13 +24,13 @@ import numpy as np
 from . import __version__
 from .formula import (
     assignment_bits,
-    conflicts,
+    check_qubit_count,
+    conflict_counts,
     parse_formula,
     reverse_bits,
     solutions,
 )
 from .hogg import (
-    check_qubit_count,
     gamma_matrix,
     measure_distribution,
     phase_matrix,
@@ -130,7 +130,8 @@ def _cmd_solve(args) -> int:
     psi = run_pipeline(f)
     probs = measure_distribution(psi)
     top = int(np.argmax(probs))
-    top_conflicts = conflicts(f, top)
+    counts = conflict_counts(f)
+    top_conflicts = int(counts[top])
     verdict = "SAT" if top_conflicts == 0 else "UNSAT"
     support = [
         {"assignment": _display_bits(a, f.n, args.bit_order), "probability": float(probs[a])}
@@ -146,7 +147,8 @@ def _cmd_solve(args) -> int:
         "top_probability": float(probs[top]),
         "top_conflicts": top_conflicts,
         "verdict": verdict,
-        "brute_force_solutions": [_display_bits(a, f.n, args.bit_order) for a in sorted(solutions(f))],
+        "brute_force_solutions": [_display_bits(a, f.n, args.bit_order)
+                                  for a in np.flatnonzero(counts == 0).tolist()],
     })
     lines = [
         f"formula: {f}   (n={f.n}, m={f.m})",
@@ -223,7 +225,7 @@ def _cmd_prep(args) -> int:
         "index": idx,
         "gates": str(experiment),
         "terms": format_z_terms(coeffs),
-        "coefficients": {"".join(map(str, k)): v for k, v in significant_terms(coeffs).items()},
+        "coefficients": {",".join(map(str, k)): v for k, v in significant_terms(coeffs).items()},
         "non_z_residual": non_z,
     } for idx, (experiment, (coeffs, non_z)) in enumerate(zip(scheme.experiments, result.experiments), 1)]
     params = _load_params(args)

@@ -4,7 +4,9 @@ solution oracle.
 Bit-order convention, fixed package-wide: variable V_k lives at bit position
 (n - k) of an assignment integer, so V_1 is the most significant bit.  The
 assignment with V_1 = 1 and all others 0 is the integer 2**(n-1) and prints
-as the bit string "10...0".
+as the bit string "10...0".  Spin k of the NMR layer and Kronecker factor
+k - 1 of a per-spin product follow the same rule; `spin_bit` is the one
+function that applies it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_VARIABLES = 16
+
+
+def check_qubit_count(n: int) -> None:
+    """Reject a qubit count outside the formula model's range [1, MAX_VARIABLES]."""
+    if not 1 <= n <= MAX_VARIABLES:
+        raise ValueError(f"qubit count must be in [1, {MAX_VARIABLES}], got {n}")
+
+
+def spin_bit(k: int, n: int, what: str | None = None) -> int:
+    """Bit of variable or spin k in a basis index of n bits, 2**(n - k), by
+    the bit-order convention above; `what` names k in the error raised when
+    k is outside [1, n] (default ``spin k``)."""
+    if not 1 <= k <= n:
+        raise ValueError(f"{what or f'spin {k}'} out of range for n={n}")
+    return 1 << (n - k)
 
 
 @dataclass(frozen=True)
@@ -55,8 +72,7 @@ class Formula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VARIABLES:
-            raise ValueError(f"variable count must be in [1, {MAX_VARIABLES}], got {self.n}")
+        check_qubit_count(self.n)
         if not self.clauses:
             raise ValueError("formula must contain at least one clause")
         for clause in self.clauses:
@@ -123,11 +139,6 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
     return Formula(n, tuple(clauses))
 
 
-def variable_value(assignment: int, variable: int, n: int) -> bool:
-    """Truth value of V_variable in the given assignment."""
-    return bool((assignment >> (n - variable)) & 1)
-
-
 def assignment_bits(assignment: int, n: int) -> str:
     """Render an assignment as a bit string, V_1 leftmost."""
     return format(assignment, f"0{n}b")
@@ -148,20 +159,6 @@ def reverse_bits(assignment: int, n: int) -> int:
     return out
 
 
-def conflicts(f: Formula, assignment: int) -> int:
-    """Number of clauses of f unsatisfied by the assignment."""
-    if not 0 <= assignment < 2**f.n:
-        raise ValueError(f"assignment {assignment} out of range for n={f.n}")
-    count = 0
-    for clause in f.clauses:
-        satisfied = any(
-            variable_value(assignment, lit.variable, f.n) != lit.negated
-            for lit in clause.literals
-        )
-        count += not satisfied
-    return count
-
-
 def conflict_counts(f: Formula) -> np.ndarray:
     """Conflict count for every assignment 0..2**n-1 at once."""
     assignments = np.arange(2**f.n, dtype=np.uint32)
@@ -169,7 +166,7 @@ def conflict_counts(f: Formula) -> np.ndarray:
     for clause in f.clauses:
         satisfied = np.zeros(assignments.shape, dtype=bool)
         for lit in clause.literals:
-            value = ((assignments >> (f.n - lit.variable)) & 1).astype(bool)
+            value = (assignments & spin_bit(lit.variable, f.n)) != 0
             satisfied |= ~value if lit.negated else value
         total += ~satisfied
     return total

@@ -51,18 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import MAX_VARIABLES, Formula, conflict_counts
+from .formula import Formula, check_qubit_count, conflict_counts
 from .linalg import phase_aligned_error
 
 OPERATOR_TOL = 1e-10
 #: Seed of the Gaussian probe vector x on which `verify_wgw` checks W(Wx) = x.
 WALSH_PROBE_SEED = 1977
-
-
-def check_qubit_count(n: int) -> None:
-    """Reject a qubit count outside the formula model's range [1, MAX_VARIABLES]."""
-    if not 1 <= n <= MAX_VARIABLES:
-        raise ValueError(f"qubit count must be in [1, {MAX_VARIABLES}], got {n}")
 
 
 def walsh_apply(vec: np.ndarray) -> np.ndarray:
@@ -96,12 +90,17 @@ def phase_matrix(f: Formula) -> np.ndarray:
     return 1j**c
 
 
-def gamma_matrix(n: int, m: int) -> np.ndarray:
-    """Diagonal of Gamma, a function of the number of 1-bits per assignment."""
+def _one_bit_counts(n: int, m: int) -> np.ndarray:
+    """Number of 1-bits of every index 0..2**n-1, after checking n and the clause count m."""
     check_qubit_count(n)
     if m < 0:
         raise ValueError("clause count must be nonnegative")
-    h = np.bitwise_count(np.arange(2**n)).astype(np.int64)  # uint8 would wrap in m - 2*h - 1
+    return np.bitwise_count(np.arange(2**n)).astype(np.int64)  # uint8 would wrap in m - 2*h - 1
+
+
+def gamma_matrix(n: int, m: int) -> np.ndarray:
+    """Diagonal of Gamma, a function of the number of 1-bits per assignment."""
+    h = _one_bit_counts(n, m)
     if m % 2 == 0:
         return (np.sqrt(2) * np.cos((m - 2 * h - 1) * np.pi / 4)).astype(complex)
     return (1j**h) * np.exp(-1j * np.pi * m / 4)
@@ -110,10 +109,7 @@ def gamma_matrix(n: int, m: int) -> np.ndarray:
 def mixing_column(n: int, m: int) -> np.ndarray:
     """Column 0 of the mixing operator: entry k is U_k0, a function of the
     number of 1-bits d of k; U_rs = column[r ^ s]."""
-    check_qubit_count(n)
-    if m < 0:
-        raise ValueError("clause count must be nonnegative")
-    d = np.bitwise_count(np.arange(2**n)).astype(np.int64)
+    d = _one_bit_counts(n, m)
     if m % 2 == 0:
         return (2 ** (-(n - 1) / 2) * np.cos((n - m + 1 - 2 * d) * np.pi / 4)).astype(complex)
     return 2 ** (-n / 2) * np.exp(1j * np.pi * (n - m) / 4) * (-1j) ** d
@@ -158,7 +154,6 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     aligned error, the unitarity of U, the modulus error of Gamma or the
     probe error misses `tol`.
     """
-    check_qubit_count(n)
     gamma = gamma_matrix(n, m)
     u = mixing_column(n, m)
     scale = 2 ** (n / 2)

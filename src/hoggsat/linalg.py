@@ -2,8 +2,9 @@
 
 Conventions used across the package:
 
-* Spin/qubit 1 occupies the leftmost tensor factor, i.e. the most
-  significant bit of a basis-state index.
+* Spin/qubit k occupies Kronecker factor k - 1 (spin 1 leftmost): the same
+  rule as the bit order stated in `formula`, where spin k is bit
+  `spin_bit(k, n)` of a basis-state index.
 * Single-spin rotations are R_axis(theta) = exp(-i * theta * sigma_axis / 2).
 * Equality of unitaries and states is always judged after aligning an
   explicit global phase; nothing is silently renormalized.

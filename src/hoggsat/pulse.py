@@ -11,8 +11,10 @@ Notation (mirrors the usual NMR shorthand):
   parenthesized pulses to spin 2.
 * A written sequence is applied right to left: the rightmost pulse acts
   first.  ``H = X^2 Y`` in this order is the Hadamard up to global phase.
-* Rotations are exp(-i*angle*sigma_axis/2), spin 1 is the most significant
-  bit, and all equivalence checks align an explicit global phase.
+* Rotations are exp(-i*angle*sigma_axis/2) and all equivalence checks align
+  an explicit global phase.
+* Spin k is bit `spin_bit(k, n)` of a basis index, by the bit order stated
+  in `formula`; Kronecker factor k - 1 of a per-spin product is the same rule.
 * A sequence unitary is the Kronecker product of per-spin products: each
   spin's pulses are multiplied on their own, with no 2**n x 2**n product.
 """
@@ -24,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .formula import Formula, parse_assignment_bits, reverse_bits
+from .formula import Formula, parse_assignment_bits, reverse_bits, spin_bit
 from .hogg import gamma_matrix, phase_matrix, walsh_apply
 from .linalg import IDENTITY_2, check_dense_size, kron_all, phase_aligned_error, rotation
 from .spin_sim import CNot, Flip, gate_image, three_spin_prep_scheme
@@ -166,12 +168,12 @@ def sequence_factors(seq: PulseSequence, n: int) -> list[np.ndarray]:
     """The n single-spin 2x2 factors of a sequence, spin 1 first.
 
     Pulses on distinct spins commute, so each spin's pulses are multiplied
-    in written order, rightmost pulse applied first.
+    in written order, rightmost pulse applied first.  A pulse on a spin
+    outside [1, n] is rejected.
     """
     factors = [IDENTITY_2] * n
     for pulse in seq.pulses:
-        if not 1 <= pulse.spin <= n:
-            raise ValueError(f"pulse spin {pulse.spin} out of range for n={n}")
+        spin_bit(pulse.spin, n, f"pulse spin {pulse.spin}")
         factors[pulse.spin - 1] = factors[pulse.spin - 1] @ pulse.matrix()
     return factors
 
@@ -206,13 +208,8 @@ def compile_diagonal(diag: np.ndarray, tol: float = 1e-10) -> PulseSequence:
         raise ValueError(f"diagonal length {dim} is not a power of two")
     if np.abs(np.abs(d) - 1.0).max() > 1e-9:
         raise NotTensorFactorable("diagonal entries are not unit modulus")
-    thetas = [float(np.angle(d[1 << (n - k)] / d[0])) for k in range(1, n + 1)]
-    exponents = np.zeros(dim)
-    for k, theta in enumerate(thetas, start=1):
-        idx = np.arange(dim)
-        bit = (idx >> (n - k)) & 1
-        exponents = exponents + theta * bit
-    predicted = d[0] * np.exp(1j * exponents)
+    thetas = [float(np.angle(d[spin_bit(k, n)] / d[0])) for k in range(1, n + 1)]
+    predicted = d[0] * kron_all([np.array([1, np.exp(1j * theta)]) for theta in thetas])
     err = float(np.abs(d - predicted).max())
     if err > tol:
         raise NotTensorFactorable(
@@ -380,11 +377,10 @@ class JDelay:
         return f"1/(2*J{self.spin_a}{self.spin_b})"
 
     def matrix(self, n: int) -> np.ndarray:
-        dim = 2**n
-        idx = np.arange(dim)
-        sign_a = 1 - 2 * ((idx >> (n - self.spin_a)) & 1)
-        sign_b = 1 - 2 * ((idx >> (n - self.spin_b)) & 1)
-        return np.diag(np.exp(-1j * np.pi / 4 * sign_a * sign_b))
+        idx = np.arange(2**n)
+        a, b = spin_bit(self.spin_a, n), spin_bit(self.spin_b, n)
+        sign = np.where(((idx & a) != 0) == ((idx & b) != 0), 1, -1)
+        return np.diag(np.exp(-1j * np.pi / 4 * sign))
 
 
 ProgramElement = Union[Pulse, JDelay]

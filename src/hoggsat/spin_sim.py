@@ -17,7 +17,8 @@ Conventions:
   populations onto these terms is one Walsh-Hadamard transform.
 * A stick-spectrum line's amplitude after the ideal pi/2 y readout is the
   population difference of its two levels.
-* Spin 1 is the most significant bit of a basis index (matches `formula`).
+* Spin k is bit `spin_bit(k, n)` of a basis index, by the bit order stated
+  in `formula`; Kronecker factor k - 1 of a per-spin product is the same rule.
 * Gate sequences inside an `Experiment` are stored in application order:
   the first listed gate acts first.  NMR shorthand often writes gate
   strings right to left instead; the built-in scheme constructors perform
@@ -42,7 +43,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .hogg import check_qubit_count, walsh_apply
+from .formula import check_qubit_count, spin_bit
+from .hogg import walsh_apply
 from .linalg import check_dense_size, kron_all, rotation
 
 
@@ -57,13 +59,6 @@ def _as_populations(state) -> tuple[np.ndarray, float, int]:
     if populations.ndim != 1 or populations.size & (populations.size - 1) or not populations.size:
         raise ValueError(f"a deviation state needs 2**n populations, got shape {populations.shape}")
     return populations, coherence, populations.size.bit_length() - 1
-
-
-def _spin_bit(spin: int, n: int, what: str) -> int:
-    """Bit of `spin` in a basis index; rejects a spin outside [1, n]."""
-    if not 1 <= spin <= n:
-        raise ValueError(f"{what} out of range for n={n}")
-    return 1 << (n - spin)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +104,11 @@ def z_product_decomposition(state) -> tuple[dict[tuple[int, ...], float], float]
     """
     populations, coherence, n = _as_populations(state)
     spectrum = 2.0 ** (1 - n / 2) * walsh_apply(populations)
+    bits = {k: spin_bit(k, n) for k in range(1, n + 1)}
     coeffs: dict[tuple[int, ...], float] = {}
     for size in range(1, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), size):
-            coeffs[subset] = float(spectrum[sum(1 << (n - k) for k in subset)])
+        for subset in itertools.combinations(bits, size):
+            coeffs[subset] = float(spectrum[sum(bits[k] for k in subset)])
     return coeffs, max(float(abs(populations.mean())), coherence)
 
 
@@ -173,11 +169,11 @@ def gate_image(gate: Gate, n: int) -> np.ndarray:
     if isinstance(gate, CNot):
         if gate.control == gate.target:
             raise ValueError("control and target must differ")
-        control = _spin_bit(gate.control, n, f"gate {gate}")
-        target = _spin_bit(gate.target, n, f"gate {gate}")
+        control = spin_bit(gate.control, n, f"gate {gate}")
+        target = spin_bit(gate.target, n, f"gate {gate}")
         return np.where(source & control, source ^ target, source)
     if isinstance(gate, Flip):
-        return source ^ _spin_bit(gate.spin, n, f"gate {gate}")
+        return source ^ spin_bit(gate.spin, n, f"gate {gate}")
     raise TypeError(f"not a gate: {gate!r}")
 
 
@@ -256,7 +252,7 @@ def _tip(populations: np.ndarray, spin: int, count: int, n: int) -> np.ndarray:
     level passes sin(count*pi/4)**2 of its population to its partner across
     the spin's bit, an exact half (a + b) / 2 for odd counts, all of it for
     2 (mod 4), none for 0 (mod 4)."""
-    partner = populations[np.arange(2**n) ^ (1 << (n - spin))]
+    partner = populations[np.arange(2**n) ^ spin_bit(spin, n)]
     if count % 2:
         return (populations + partner) / 2
     return partner if count % 4 == 2 else populations
@@ -270,7 +266,7 @@ def _gated_populations(experiment: Experiment, n: int) -> tuple[np.ndarray, Coun
         populations = populations[gate_image(gate, n)]
     tips = Counter(experiment.tip_spins)
     for spin in tips:
-        _spin_bit(spin, n, f"TIP{spin}")
+        spin_bit(spin, n, f"TIP{spin}")
     return populations, tips
 
 
@@ -591,16 +587,16 @@ def stick_spectrum(state, spin: int, system: SpinSystem) -> list[SpectralLine]:
     populations, _, n = _as_populations(state)
     if n != system.n:
         raise ValueError(f"state is for {n} spins but the system has {system.n}")
-    bit = _spin_bit(spin, n, f"spin {spin}")
-    partners = [k for k in range(1, n + 1) if k != spin]
+    bit = spin_bit(spin, n)
+    partners = [(k, spin_bit(k, n)) for k in range(1, n + 1) if k != spin]
     lines = []
     for low in range(2**n):
         amplitude = float(populations[low] - populations[low | bit])
         if low & bit or abs(amplitude) < 1e-12:
             continue
         freq = system.shifts_hz[spin - 1]
-        for k in partners:
-            freq += system.coupling(spin, k) * (-0.5 if (low >> (n - k)) & 1 else 0.5)
+        for k, partner_bit in partners:
+            freq += system.coupling(spin, k) * (-0.5 if low & partner_bit else 0.5)
         lines.append(SpectralLine(freq, amplitude))
     lines.sort(key=lambda line: line.frequency_hz)
     return lines

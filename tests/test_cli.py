@@ -87,10 +87,10 @@ class TestSolve:
         assert out.splitlines()[2:4] == ["  10 : 1.000000000000", "top assignment: 10   probability 1.000000000000"]
 
     @pytest.mark.parametrize("text,walsh,counts", [
-        # distinct variables: the product route, and solutions() counts conflicts once
-        ("v1 & !v4 & v9 & !v16", [], ["solutions"]),
+        # distinct variables: the product route, and the handler counts conflicts once
+        ("v1 & !v4 & v9 & !v16", [], ["_cmd_solve"]),
         # a repeated variable keeps the butterfly
-        ("v1 & v2 & v1", ["run_pipeline"] * 2, ["phase_matrix", "solutions"]),
+        ("v1 & v2 & v1", ["run_pipeline"] * 2, ["phase_matrix", "_cmd_solve"]),
     ])
     def test_route_at_the_formula_cap(self, capsys, monkeypatch, text, walsh, counts):
         walsh_calls = count_calls(monkeypatch, hogg, "walsh_apply")
@@ -206,7 +206,19 @@ class TestPrep:
         _, out, _ = run_cli(capsys, "prep", "3", "--json")
         report = json.loads(out)
         assert report["passed"] is True
-        assert report["experiments"][1]["coefficients"] == {"123": 1.0, "23": 1.0, "3": -1.0}
+        assert report["experiments"][1]["coefficients"] == {"1,2,3": 1.0, "2,3": 1.0, "3": -1.0}
+
+    def test_json_keeps_one_coefficient_per_term(self, capsys, tmp_path):
+        # spin subsets (1, 3) and (13,) get distinct keys
+        scheme = tmp_path / "cn13.scheme"
+        scheme.write_text("CN13\n")
+        _, text, _ = run_cli(capsys, "prep", "13", "--scheme", str(scheme))
+        _, out, _ = run_cli(capsys, "prep", "13", "--scheme", str(scheme), "--json")
+        (line,) = [line for line in text.splitlines() if line.startswith("experiment 1 ")]
+        terms = line.split(": ", 1)[1].replace(" - ", " + ").split(" + ")
+        coefficients = json.loads(out)["experiments"][0]["coefficients"]
+        assert len(coefficients) == len(terms) == 13
+        assert coefficients["1,3"] == 1.0 and coefficients["13"] == 1.0
 
     def test_runs_each_experiment_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, spin_sim, "run_experiment")

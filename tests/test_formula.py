@@ -11,13 +11,12 @@ from hoggsat.formula import (
     Literal,
     assignment_bits,
     conflict_counts,
-    conflicts,
     grover_success_probability,
     parse_assignment_bits,
     parse_formula,
     reverse_bits,
     solutions,
-    variable_value,
+    spin_bit,
 )
 from reference import hamming_distance, negate_variable
 
@@ -29,46 +28,45 @@ def one_sat(*signed_vars, n=None):
     return Formula(n, tuple(Clause((l,)) for l in lits))
 
 
+def brute_force_conflicts(f):
+    """Independent oracle: evaluate each clause per assignment directly.
+    Entry a counts the clauses assignment a violates (V_1 most significant)."""
+    return [
+        sum(not any(bits[l.variable - 1] != l.negated for l in clause.literals)
+            for clause in f.clauses)
+        for bits in itertools.product((False, True), repeat=f.n)
+    ]
+
+
 def brute_force_solutions(f):
-    """Independent oracle: evaluate each clause per assignment directly."""
-    found = set()
-    for bits in itertools.product((False, True), repeat=f.n):
-        ok = all(
-            any(bits[l.variable - 1] != l.negated for l in clause.literals)
-            for clause in f.clauses
-        )
-        if ok:
-            found.add(int("".join("1" if b else "0" for b in bits), 2))
-    return found
+    return {a for a, count in enumerate(brute_force_conflicts(f)) if count == 0}
 
 
 class TestConflicts:
     def test_all_positive_satisfied(self):
-        f = one_sat(1, 2, 3)
-        assert conflicts(f, 0b111) == 0
+        assert conflict_counts(one_sat(1, 2, 3))[0b111] == 0
 
     def test_all_positive_all_false(self):
-        f = one_sat(1, 2, 3)
-        assert conflicts(f, 0b000) == 3
+        assert conflict_counts(one_sat(1, 2, 3))[0b000] == 3
 
     def test_single_clause_false_for_any_tail(self):
-        f = one_sat(1, n=3)
+        counts = conflict_counts(one_sat(1, n=3))
         for tail in range(4):
-            assert conflicts(f, tail) == 1  # v1 = 0 in assignments 0xx
+            assert counts[tail] == 1  # v1 = 0 in assignments 0xx
 
     def test_range(self):
         f = one_sat(1, -2, 3)
-        for a in range(8):
-            assert 0 <= conflicts(f, a) <= f.m
+        counts = conflict_counts(f)
+        assert counts.shape == (8,)
+        assert 0 <= counts.min() and counts.max() <= f.m
 
     def test_conflict_counts_matches_scalar(self):
-        f = one_sat(1, -2, 3, -1)
-        counts = conflict_counts(f)
-        assert [conflicts(f, a) for a in range(8)] == list(counts)
-
-    def test_out_of_range_assignment(self):
-        with pytest.raises(ValueError):
-            conflicts(one_sat(1), 2)
+        for f in [
+            one_sat(1, -2, 3, -1),
+            one_sat(-2, 4, 2, n=5),
+            Formula(3, (Clause((Literal(1), Literal(3, True))), Clause((Literal(2),)))),
+        ]:
+            assert list(conflict_counts(f)) == brute_force_conflicts(f)
 
 
 class TestSolutions:
@@ -171,8 +169,8 @@ class TestParsing:
 
 class TestConventions:
     def test_variable_one_is_most_significant(self):
-        assert variable_value(0b100, 1, 3) is True
-        assert variable_value(0b100, 3, 3) is False
+        assert spin_bit(1, 3) == 0b100
+        assert spin_bit(3, 3) == 0b001
 
     def test_bit_round_trip(self):
         for a in range(8):

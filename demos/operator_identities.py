@@ -47,7 +47,7 @@ worst = 0.0
 for n in range(1, 7):
     for m in range(1, n + 1):
         report = verify_wgw(n, m)
-        worst = max(worst, report.max_abs_error)
+        worst = max(worst, report.wgw_error)
         assert report.passed
 print(f"  1 <= m <= n <= 6: all pass, max aligned error {worst:.2e}")
 

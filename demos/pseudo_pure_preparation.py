@@ -23,7 +23,6 @@ from hoggsat import (
     four_spin_prep_scheme,
     run_experiment,
     run_prep_scheme,
-    significant_terms,
     target_pseudo_pure,
     three_spin_prep_scheme,
     thermal_state,
@@ -59,8 +58,8 @@ candidates = {
 for name, tail in candidates.items():
     trial = PrepScheme(tuple(base + [Experiment(last_gates + tail)]))
     residual = run_prep_scheme(trial, 4) - target_pseudo_pure(4)
-    terms = significant_terms(z_product_decomposition(residual)[0])
-    print(f"reading {name:9s}: residual = {format_z_terms(terms) if terms else '0'}")
+    terms = z_product_decomposition(residual)[0]
+    print(f"reading {name:9s}: residual = {format_z_terms(terms)}")
 
 print()
 print("reading 'N1 alone' leaves exactly one surplus I3z, consistent with")

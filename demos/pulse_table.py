@@ -38,8 +38,8 @@ for row in THREE_SPIN_TABLE:
 print()
 print("diagonal operators compile straight to z-rotations (odd clause counts):")
 f = parse_formula("v1 & v2 & v3")
-print(f"  R for {f}: {compile_diagonal(phase_matrix(f)).to_text()}")
-print(f"  Gamma (m=3):        {compile_diagonal(gamma_matrix(3, 3)).to_text()}")
+print(f"  R for {f}: {compile_diagonal(phase_matrix(f)).sequence.to_text()}")
+print(f"  Gamma (m=3):        {compile_diagonal(gamma_matrix(3, 3)).sequence.to_text()}")
 print()
 
 print("the peephole reducer uses the catalog as its regression corpus:")

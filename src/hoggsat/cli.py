@@ -16,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +37,12 @@ from .hogg import (
     run_pipeline,
     verify_wgw,
 )
-from .linalg import MAX_DENSE_QUBITS, kron_all, phase_aligned_error
+from .linalg import MAX_DENSE_QUBITS
 from .pulse import (
     NotTensorFactorable,
     compile_diagonal,
     lowering_errors,
     parse_pulse_sequence,
-    sequence_factors,
     verify_table_sequence,
 )
 from .spin_sim import (
@@ -58,7 +57,6 @@ from .spin_sim import (
     parse_spin_system,
     prep_report,
     pseudo_pure_populations,
-    significant_terms,
     stick_spectrum,
     thermal_populations,
 )
@@ -72,22 +70,18 @@ def _round12(value: float) -> float:
 
 
 def _jsonable(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
+    """A report with each float rounded to 12 significant digits and each
+    complex number as {"im", "re"}.  Reports hold dicts, lists, floats,
+    complex numbers, arrays and JSON scalars; numpy's float64 and complex128
+    are subclasses of float and complex."""
+    if isinstance(obj, float):
+        return _round12(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):
         return {"im": _round12(obj.imag), "re": _round12(obj.real)}
-    if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
@@ -95,7 +89,7 @@ def _jsonable(obj):
 
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -181,12 +175,7 @@ def _cmd_verify(args) -> int:
     else:
         pairs = [(args.n, args.m)]
     check_qubit_count(max(n for n, _ in pairs))  # reject a sweep before any pair runs
-    checks = []
-    for n, m in pairs:
-        check = asdict(verify_wgw(n, m, args.tolerance))
-        check["wgw_error"] = check.pop("max_abs_error")
-        check["wgw_phase"] = check.pop("global_phase")
-        checks.append(check)
+    checks = [asdict(verify_wgw(n, m, args.tolerance)) for n, m in pairs]
     all_passed = all(c["passed"] for c in checks)
     worst = max(max(c["wgw_error"], c["gamma_modulus_error"], c["walsh_involution_error"])
                 for c in checks)
@@ -225,10 +214,12 @@ def _cmd_prep(args) -> int:
         "index": idx,
         "gates": str(experiment),
         "terms": format_z_terms(coeffs),
-        "coefficients": {",".join(map(str, k)): v for k, v in significant_terms(coeffs).items()},
+        "coefficients": {",".join(map(str, k)): v for k, v in coeffs.items()},
         "non_z_residual": non_z,
     } for idx, (experiment, (coeffs, non_z)) in enumerate(zip(scheme.experiments, result.experiments), 1)]
     params = _load_params(args)
+    if params is not None and params.n != n:
+        raise ValueError(f"the spin system has {params.n} spins but the scheme runs on {n}")
     if params is None and n == ALANINE.n:
         params = ALANINE
     lint_ran = params is not None
@@ -327,7 +318,7 @@ def _cmd_pulse_verify(args) -> int:
     f = replace(f, n=max([f.n, *(p.spin for p in seq)]))
     result = verify_table_sequence(f, seq, args.tolerance)
     report = _base_report("pulse verify")
-    report.update({"verification": result})
+    report.update({"verification": asdict(result)})
     lines = [
         f"formula: {result.formula}",
         f"sequence: {result.sequence or '(empty)'}",
@@ -346,21 +337,19 @@ def _cmd_pulse_verify(args) -> int:
 def _compile(command: str, label: str, diag: np.ndarray, n: int, as_json: bool) -> int:
     report = _base_report(command)
     try:
-        seq = compile_diagonal(diag)
+        compiled = compile_diagonal(diag)
     except NotTensorFactorable as exc:
         report.update({"target": label, "compiled": None, "error": str(exc)})
         advice = ("fall back to dense simulation" if n <= MAX_DENSE_QUBITS
                   else f"no dense fallback: dense routes stop at n={MAX_DENSE_QUBITS}")
         _emit(report, [f"target: {label}", f"not tensor-factorable: {exc}", advice], as_json)
         return 1
-    # z-rotation factors are diagonal, so the round trip needs only their diagonals
-    realized = kron_all([factor.diagonal() for factor in sequence_factors(seq, n)])
-    err, phase = phase_aligned_error(realized, diag)
-    report.update({"target": label, "compiled": seq.to_text() or "(empty)",
-                   "round_trip_error": err, "global_phase": phase})
+    text = compiled.sequence.to_text() or "(empty)"
+    report.update({"target": label, "compiled": text, "round_trip_error": compiled.round_trip_error,
+                   "global_phase": compiled.global_phase})
     _emit(report, [f"target: {label}",
-                   f"compiled sequence: {seq.to_text() or '(empty)'}",
-                   f"round-trip error (up to global phase): {_fmt(err)}"], as_json)
+                   f"compiled sequence: {text}",
+                   f"round-trip error (up to global phase): {_fmt(compiled.round_trip_error)}"], as_json)
     return 0
 
 
@@ -425,13 +414,20 @@ def _cmd_spectrum(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _command(sub, name: str, func, help: str, *, tolerance: float | None = None,
              bit_order: bool = False, params: bool = False, aliases=()) -> argparse.ArgumentParser:
     """A subcommand with `--json` and the shared options its handler reads."""
     p = sub.add_parser(name, help=help, aliases=aliases)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     if tolerance is not None:
-        p.add_argument("--tolerance", type=float, default=tolerance,
+        p.add_argument("--tolerance", type=_finite_float, default=tolerance,
                        help=f"pass/fail tolerance (default {tolerance:g})")
     if bit_order:
         p.add_argument("--bit-order", choices=("msb-v1", "lsb-v1"), default="msb-v1",
@@ -478,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="basis index (integer or bit string) carrying the ideal population")
     ideal.add_argument("--ideal-formula", default=None,
                        help="single-solution formula defining the ideal population")
-    p.add_argument("--threshold", type=float, default=None, help="pass/fail bound on the max deviation")
+    p.add_argument("--threshold", type=_finite_float, default=None, help="pass/fail bound on the max deviation")
 
     p = sub.add_parser("pulse", help="pulse-sequence tools")
     psub = p.add_subparsers(dest="pulse_command", required=True)

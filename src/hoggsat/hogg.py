@@ -131,8 +131,8 @@ class WgwReport:
 
     n: int
     m: int
-    max_abs_error: float
-    global_phase: complex
+    wgw_error: float
+    wgw_phase: complex
     mixing_unitary: bool
     gamma_modulus_error: float
     walsh_involution_error: float
@@ -143,16 +143,16 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     """Check the mixing operator against its W Gamma W factorization.
 
     Both U and W Gamma W depend only on r XOR s, so their columns 0 decide
-    every entry: column 0 of W Gamma W is 2**(-n/2) * W Gamma, compared with
-    `mixing_column` after aligning the global phase at its largest-modulus
-    entry.  U is unitary when column 0 of U^H U - I, which is
-    2**(-n/2) * W(|lambda|**2 - 1) for the eigenvalues lambda = 2**(n/2) * W u,
-    stays within `tol`.  W @ W = I is checked on one probe (Freivalds'
-    randomized check): `walsh_involution_error` is max |W(Wx) - x| for a
-    fixed Gaussian vector x seeded by `WALSH_PROBE_SEED`, so every check is
-    O(n * 2**n) and n reaches the formula cap.  `passed` is False when the
-    aligned error, the unitarity of U, the modulus error of Gamma or the
-    probe error misses `tol`.
+    every entry: column 0 of W Gamma W is 2**(-n/2) * W Gamma; `wgw_error` is
+    its max error against `mixing_column` after aligning the global phase
+    `wgw_phase` at its largest-modulus entry.  U is unitary when column 0 of
+    U^H U - I, which is 2**(-n/2) * W(|lambda|**2 - 1) for the eigenvalues
+    lambda = 2**(n/2) * W u, stays within `tol`.  W @ W = I is checked on one
+    probe (Freivalds' randomized check): `walsh_involution_error` is
+    max |W(Wx) - x| for a fixed Gaussian vector x seeded by `WALSH_PROBE_SEED`,
+    so every check is O(n * 2**n) and n reaches the formula cap.  `passed` is
+    False when the aligned error, the unitarity of U, the modulus error of
+    Gamma or the probe error misses `tol`.
     """
     gamma = gamma_matrix(n, m)
     u = mixing_column(n, m)
@@ -164,7 +164,7 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     probe = np.random.default_rng(WALSH_PROBE_SEED).standard_normal(2**n)
     involution = float(np.abs(walsh_apply(walsh_apply(probe)) - probe).max())
     return WgwReport(
-        n=n, m=m, max_abs_error=err, global_phase=phase, mixing_unitary=unitary,
+        n=n, m=m, wgw_error=err, wgw_phase=phase, mixing_unitary=unitary,
         gamma_modulus_error=gamma_mod, walsh_involution_error=involution,
         passed=err <= tol and unitary and gamma_mod <= tol and involution <= tol,
     )

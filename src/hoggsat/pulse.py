@@ -22,7 +22,7 @@ Notation (mirrors the usual NMR shorthand):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .linalg import IDENTITY_2, check_dense_size, kron_all, phase_aligned_error,
 from .spin_sim import CNot, Flip, gate_image, three_spin_prep_scheme
 
 QUARTER_TURN = np.pi / 2
+COMPILE_TOL = 1e-10  # largest round-trip error, up to global phase, of a compiled diagonal
 
 
 @dataclass(frozen=True)
@@ -193,13 +194,23 @@ class NotTensorFactorable(ValueError):
     """The diagonal does not factor into single-spin diagonal unitaries."""
 
 
-def compile_diagonal(diag: np.ndarray, tol: float = 1e-10) -> PulseSequence:
+class CompiledDiagonal(NamedTuple):
+    """Per-spin z-rotations realizing a diagonal, and their round trip against
+    it: the max error after aligning `global_phase`."""
+
+    sequence: PulseSequence
+    round_trip_error: float
+    global_phase: complex
+
+
+def compile_diagonal(diag: np.ndarray) -> CompiledDiagonal:
     """Compile a unit-modulus diagonal into per-spin z-rotations.
 
-    The result realizes the diagonal up to a global phase.  Raises
-    NotTensorFactorable for entangling diagonals (the caller then falls
-    back to dense simulation).  Angles that are multiples of pi/2 within
-    1e-9 are snapped so the sequence renders in the X/Y/Z grammar.
+    Angles that are multiples of pi/2 within 1e-9 are snapped so the
+    sequence renders in the X/Y/Z grammar.  The one factorization check is
+    the round trip of the snapped sequence (the Kronecker product of its
+    per-spin diagonals against the target), so the error reported is that of
+    the sequence returned; above COMPILE_TOL it raises NotTensorFactorable.
     """
     d = np.asarray(diag, dtype=complex)
     dim = d.size
@@ -208,15 +219,9 @@ def compile_diagonal(diag: np.ndarray, tol: float = 1e-10) -> PulseSequence:
         raise ValueError(f"diagonal length {dim} is not a power of two")
     if np.abs(np.abs(d) - 1.0).max() > 1e-9:
         raise NotTensorFactorable("diagonal entries are not unit modulus")
-    thetas = [float(np.angle(d[spin_bit(k, n)] / d[0])) for k in range(1, n + 1)]
-    predicted = d[0] * kron_all([np.array([1, np.exp(1j * theta)]) for theta in thetas])
-    err = float(np.abs(d - predicted).max())
-    if err > tol:
-        raise NotTensorFactorable(
-            f"diagonal is not a tensor product of z-rotations (deviation {err:.3e})"
-        )
     pulses = []
-    for k, theta in enumerate(thetas, start=1):
+    for k in range(1, n + 1):
+        theta = float(np.angle(d[spin_bit(k, n)] / d[0]))
         if abs(theta) < 1e-12:
             continue
         quarter = theta / QUARTER_TURN
@@ -224,7 +229,12 @@ def compile_diagonal(diag: np.ndarray, tol: float = 1e-10) -> PulseSequence:
             theta = round(quarter) * QUARTER_TURN
         axis, angle = ("z", theta) if theta > 0 else ("-z", -theta)
         pulses.append(Pulse(k, axis, angle))
-    return PulseSequence(tuple(pulses))
+    seq = PulseSequence(tuple(pulses))
+    # z-rotation factors are diagonal, so the round trip needs only their diagonals
+    err, phase = phase_aligned_error(kron_all([factor.diagonal() for factor in sequence_factors(seq, n)]), d)
+    if err > COMPILE_TOL:
+        raise NotTensorFactorable(f"diagonal is not a tensor product of z-rotations (deviation {err:.3e})")
+    return CompiledDiagonal(seq, err, phase)
 
 
 def reduce_sequence(seq: PulseSequence) -> PulseSequence:

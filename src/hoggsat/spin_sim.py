@@ -35,7 +35,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -46,6 +45,8 @@ import numpy as np
 from .formula import check_qubit_count, spin_bit
 from .hogg import walsh_apply
 from .linalg import check_dense_size, kron_all, rotation
+
+Z_TERM_TOL = 1e-9  # smallest |coefficient| of a z-product term that is reported
 
 
 def _as_populations(state) -> tuple[np.ndarray, float, int]:
@@ -96,30 +97,23 @@ def target_pseudo_pure(n: int) -> np.ndarray:
 def z_product_decomposition(state) -> tuple[dict[tuple[int, ...], float], float]:
     """Project a deviation state onto the z-product basis.
 
-    Returns (coefficients keyed by spin subset, max of |identity component|
-    and largest coherence, the parts no z-product spans).  Every basis
-    term has Tr(B^2) = 2**(n-2).  The diagonal of the term over S is
-    (-1)**popcount(i AND mask(S)) / 2, so the coefficients are the
-    Walsh-Hadamard spectrum, 2**(1-n/2) * walsh_apply(populations)[mask(S)].
+    Returns (the coefficients above Z_TERM_TOL, keyed by spin subset; max of
+    |identity component| and largest coherence, the parts no z-product
+    spans).  Every basis term has Tr(B^2) = 2**(n-2).  The diagonal of the
+    term over S is (-1)**popcount(i AND mask(S)) / 2, so the coefficients are
+    the Walsh-Hadamard spectrum 2**(1-n/2) * walsh_apply(populations)[mask(S)].
     """
     populations, coherence, n = _as_populations(state)
     spectrum = 2.0 ** (1 - n / 2) * walsh_apply(populations)
-    bits = {k: spin_bit(k, n) for k in range(1, n + 1)}
-    coeffs: dict[tuple[int, ...], float] = {}
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(bits, size):
-            coeffs[subset] = float(spectrum[sum(bits[k] for k in subset)])
+    bits = [spin_bit(k, n) for k in range(1, n + 1)]
+    coeffs = {tuple(k for k, bit in enumerate(bits, 1) if mask & bit): float(spectrum[mask])
+              for mask in np.flatnonzero(np.abs(spectrum) > Z_TERM_TOL).tolist() if mask}
     return coeffs, max(float(abs(populations.mean())), coherence)
 
 
-def significant_terms(coeffs: dict[tuple[int, ...], float],
-                      tol: float = 1e-9) -> dict[tuple[int, ...], float]:
-    return {s: c for s, c in coeffs.items() if abs(c) > tol}
-
-
-def format_z_terms(coeffs: dict[tuple[int, ...], float], tol: float = 1e-9) -> str:
+def format_z_terms(coeffs: dict[tuple[int, ...], float]) -> str:
     """Render coefficients like ``4I1zI2zI3z + 2I2zI3z - I3z``."""
-    kept = sorted(significant_terms(coeffs, tol).items(), key=lambda kv: (-len(kv[0]), kv[0]))
+    kept = sorted(coeffs.items(), key=lambda kv: (-len(kv[0]), kv[0]))
     if not kept:
         return "0"
     pieces = []
@@ -127,7 +121,7 @@ def format_z_terms(coeffs: dict[tuple[int, ...], float], tol: float = 1e-9) -> s
         weight = c * 2 ** (len(subset) - 1)
         name = "".join(f"I{k}z" for k in subset)
         mag = abs(weight)
-        body = name if abs(mag - 1.0) < tol else f"{mag:g}{name}"
+        body = name if abs(mag - 1.0) < Z_TERM_TOL else f"{mag:g}{name}"
         pieces.append(("- " if weight < 0 else "+ ") + body)
     text = " ".join(pieces)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -342,11 +336,11 @@ def parse_prep_scheme(text: str) -> PrepScheme:
     One experiment per line; tokens are gates in application order
     (``CN32`` flips spin 2 when spin 3 is set, ``N3`` flips spin 3,
     ``TIP3`` tips spin 3 transverse), or a bare ``E`` alone on its line.
-    ``#`` starts a comment.  A ``@gradient on|off`` directive controls the
-    crusher model (default on).
+    ``#`` starts a comment.  A ``@gradient on|off`` directive, at most once
+    and before the first experiment, sets the crusher model (default on).
     """
     experiments: list[Experiment] = []
-    gradient = True
+    gradient = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -354,6 +348,8 @@ def parse_prep_scheme(text: str) -> PrepScheme:
         if line.startswith("@"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0].lower() == "gradient" and parts[1].lower() in ("on", "off"):
+                if gradient is not None or experiments:
+                    raise SchemeParseError(lineno, "@gradient must come once, before the first experiment")
                 gradient = parts[1].lower() == "on"
                 continue
             raise SchemeParseError(lineno, f"unknown directive {line!r}")
@@ -376,7 +372,7 @@ def parse_prep_scheme(text: str) -> PrepScheme:
         experiments.append(Experiment(tuple(gates), tuple(tips)))
     if not experiments:
         raise SchemeParseError(0, "scheme has no experiments")
-    return PrepScheme(tuple(experiments), gradient)
+    return PrepScheme(tuple(experiments), gradient is not False)
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +442,20 @@ def ideal_population_vector(n: int, index: int) -> np.ndarray:
     return out
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 def parse_measured_vector(text: str) -> np.ndarray:
-    """Read a diagonal vector: one real per line and/or comma separated."""
+    """Read a diagonal vector: one finite real per line and/or comma separated."""
     tokens = [t for t in re.split(r"[\s,]+", text.strip()) if t]
     if not tokens:
         raise ValueError("no values found")
     try:
-        values = np.array([float(t) for t in tokens])
+        values = np.array([_finite(t) for t in tokens])
     except ValueError as exc:
         raise ValueError(f"malformed value in vector: {exc}") from None
     if values.size & (values.size - 1):
@@ -512,13 +515,14 @@ def parse_spin_system(text: str) -> SpinSystem:
     """Parse a spin-system parameter file.
 
     Lines: ``n <count>``, ``shift <spin> <Hz>``, ``j <i> <j> <Hz>``,
-    ``t1 <spin> <s>``, ``t2 <spin> <s>``.  ``#`` starts a comment.
+    ``t1 <spin> <s>``, ``t2 <spin> <s>``.  ``#`` starts a comment.  Values
+    are finite, each entry is given once (``j 1 2`` and ``j 2 1`` are one
+    entry) and each spin lies in [1, n].
     """
     n = None
-    shifts: dict[int, float] = {}
+    tables: dict[str, dict[int, float]] = {"shift": {}, "t1": {}, "t2": {}}
     couplings: dict[tuple[int, int], float] = {}
-    t1: dict[int, float] = {}
-    t2: dict[int, float] = {}
+    entry_lines: dict[tuple, list[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -527,25 +531,23 @@ def parse_spin_system(text: str) -> SpinSystem:
         key = parts[0].lower()
         try:
             if key == "n" and len(parts) == 2:
-                n = int(parts[1])
-            elif key == "shift" and len(parts) == 3:
-                shifts[int(parts[1])] = float(parts[2])
+                entry, n = ("n",), int(parts[1])
+            elif key in tables and len(parts) == 3:
+                entry = (key, int(parts[1]))
+                tables[key][entry[1]] = _finite(parts[2])
             elif key == "j" and len(parts) == 4:
-                i, j = int(parts[1]), int(parts[2])
-                couplings[(min(i, j), max(i, j))] = float(parts[3])
-            elif key == "t1" and len(parts) == 3:
-                t1[int(parts[1])] = float(parts[2])
-            elif key == "t2" and len(parts) == 3:
-                t2[int(parts[1])] = float(parts[2])
+                entry = ("j", *sorted((int(parts[1]), int(parts[2]))))
+                couplings[entry[1:]] = _finite(parts[3])
             else:
                 raise SpinSystemParseError(lineno, f"unrecognized line {line!r}")
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             if isinstance(exc, SpinSystemParseError):
                 raise
             raise SpinSystemParseError(lineno, f"malformed value in {line!r}") from None
+        entry_lines.setdefault(entry, []).append(lineno)
     if n is None:
         raise SpinSystemParseError(0, "missing spin count (line 'n <count>')")
-    missing = [k for k in range(1, n + 1) if k not in shifts]
+    missing = [k for k in range(1, n + 1) if k not in tables["shift"]]
     if missing:
         raise SpinSystemParseError(0, f"missing chemical shift for spin(s) {missing}")
 
@@ -557,13 +559,25 @@ def parse_spin_system(text: str) -> SpinSystem:
             raise SpinSystemParseError(0, f"incomplete relaxation data, missing spin(s) {gaps}")
         return tuple(table[k] for k in range(1, n + 1))
 
-    return SpinSystem(
+    system = SpinSystem(
         n=n,
-        shifts_hz=tuple(shifts[k] for k in range(1, n + 1)),
+        shifts_hz=tuple(tables["shift"][k] for k in range(1, n + 1)),
         couplings_hz=tuple((i, j, couplings[(i, j)]) for i, j in sorted(couplings)),
-        t1_s=pack(t1),
-        t2_s=pack(t2),
+        t1_s=pack(tables["t1"]),
+        t2_s=pack(tables["t2"]),
     )
+    faults = []  # (line, reason): repeated entries and out-of-range spins
+    for entry, lines in entry_lines.items():
+        if len(lines) > 1:
+            faults.append((lines[1], f"repeated {' '.join(map(str, entry))} (first on line {lines[0]})"))
+        if entry[0] in tables:
+            try:
+                spin_bit(entry[1], n)
+            except ValueError as exc:
+                faults.append((lines[0], str(exc)))
+    if faults:
+        raise SpinSystemParseError(*min(faults))
+    return system
 
 
 class SpectralLine(NamedTuple):

@@ -151,7 +151,7 @@ def verify_wgw(n, m, tol=1e-10):
     gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
     involution = float(np.abs(w @ w - np.eye(2**n)).max())
     return WgwReport(
-        n=n, m=m, max_abs_error=err, global_phase=phase, mixing_unitary=unitary,
+        n=n, m=m, wgw_error=err, wgw_phase=phase, mixing_unitary=unitary,
         gamma_modulus_error=gamma_mod, walsh_involution_error=involution,
         passed=err <= tol and unitary and gamma_mod <= tol and involution <= tol,
     )

@@ -1,8 +1,10 @@
 import argparse
 import json
+import math
 import sys
 import time
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,9 @@ from hoggsat.cli import main
 from hoggsat.pulse import THREE_SPIN_TABLE
 from hoggsat.spin_sim import MEASURED_PREP_DIAG, MEASURED_SEARCH_DIAGS
 
-PREP_CSV = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "measured_prep_diag.csv")
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+PREP_CSV = str(DATA / "measured_prep_diag.csv")
+ALANINE_SPINS = str(DATA / "alanine.spins")
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +130,12 @@ class TestVerify:
         report = json.loads(out)
         assert report["all_passed"] is True
         assert report["checks"][0]["wgw_error"] <= 1e-12
+
+    def test_json_checks_are_the_library_reports(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "3", "3", "--json")
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert check == cli._jsonable(asdict(hogg.verify_wgw(3, 3)))
 
     def test_builds_no_dense_operator(self, capsys, monkeypatch):
         # the dense operators live in the tests' reference module only, and
@@ -371,6 +381,26 @@ class TestPulse:
         assert f"compiled sequence: {compiled}\n" in out
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [("compile-r", "v1 & v2 & v3"), ("compile-gamma", "3", "--n", "3"),
+                                      ("compile-r", "v1 & v2")])
+    def test_compile_checks_once(self, capsys, monkeypatch, argv):
+        calls = count_calls(monkeypatch, linalg, "kron_all")
+        run_cli(capsys, "pulse", *argv)
+        assert calls == ["compile_diagonal"]
+
+    @pytest.mark.parametrize("argv,diag", [
+        (("compile-R", "v1 & v2 & v3"), lambda: hogg.phase_matrix(formula.parse_formula("v1 & v2 & v3"))),
+        (("compile-gamma", "3", "--n", "3"), lambda: hogg.gamma_matrix(3, 3)),
+    ])
+    def test_compile_json_is_the_library_report(self, capsys, argv, diag):
+        code, out, _ = run_cli(capsys, "pulse", *argv, "--json")
+        assert code == 0
+        report = json.loads(out)
+        compiled = pulse.compile_diagonal(diag())
+        assert report["compiled"] == compiled.sequence.to_text()
+        assert report["round_trip_error"] == cli._jsonable(compiled.round_trip_error)
+        assert report["global_phase"] == cli._jsonable(compiled.global_phase)
+
     def test_compile_r_even_m_falls_back(self, capsys):
         code, out, _ = run_cli(capsys, "pulse", "compile-r", "v1 & v2")
         assert code == 1
@@ -564,3 +594,55 @@ def test_reports_without_bit_order_are_msb_v1(capsys, command, argv):
     report = json.loads(out)
     assert report["command"] == command
     assert report["bit_order"] == "msb-v1"
+
+
+def test_jsonable_rounds_numpy_scalars():
+    # numpy's float64 and complex128 subclass float and complex
+    report = cli._jsonable({"x": [np.float64(0.1) + np.float64(0.2)], "z": np.complex128(1 / 3 + 2j / 3)})
+    assert report == {"x": [0.3], "z": {"im": 0.666666666667, "re": 0.333333333333}}
+    assert type(report["x"][0]) is float
+
+
+def test_json_never_prints_nan():
+    with pytest.raises(ValueError, match="JSON"):
+        cli._emit({"x": math.nan}, [], True)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("j 2 1 10", "error: line 16: repeated j 1 2 (first on line 7)"),
+    ("shift 7 99", "error: line 16: spin 7 out of range for n=3"),
+])
+def test_spin_system_misreads_exit_2(capsys, tmp_path, line, message):
+    path = tmp_path / "alanine.spins"
+    path.write_text(Path(ALANINE_SPINS).read_text() + line + "\n")
+    for argv in (("spectrum", "thermal", "--spin", "1"), ("prep", "3")):
+        code, out, err = run_cli(capsys, *argv, "--params", str(path))
+        assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_prep_rejects_a_spin_system_of_another_size(capsys):
+    code, out, err = run_cli(capsys, "prep", "4", "--params", ALANINE_SPINS)
+    assert (code, out) == (2, "")
+    assert err == "error: the spin system has 3 spins but the scheme runs on 4\n"
+
+
+def test_second_gradient_directive_exits_2(capsys, tmp_path):
+    scheme = tmp_path / "two.scheme"
+    scheme.write_text("@gradient on\nE\n@gradient off\nCN21 TIP1\n")
+    code, out, err = run_cli(capsys, "prep", "3", "--scheme", str(scheme))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: @gradient must come once, before the first experiment\n"
+
+
+def test_non_finite_input_exits_2(capsys, tmp_path):
+    vector = tmp_path / "nan.csv"
+    vector.write_text("nan\n" + "0\n" * 7)
+    spins = tmp_path / "nan.spins"
+    spins.write_text(Path(ALANINE_SPINS).read_text().replace("shift 1 -4320.0", "shift 1 nan"))
+    code, out, err = run_cli(capsys, "compare", str(vector), "--ideal-index", "000", "--json")
+    assert (code, out, err) == (2, "", "error: malformed value in vector: non-finite value 'nan'\n")
+    code, out, err = run_cli(capsys, "spectrum", "thermal", "--spin", "1", "--params", str(spins), "--json")
+    assert (code, out, err) == (2, "", "error: line 4: malformed value in 'shift 1 nan'\n")
+    for argv in (("prep", "3", "--tolerance", "nan"), ("solve", "v1", "--tolerance", "inf"),
+                 ("compare", PREP_CSV, "--ideal-index", "000", "--threshold", "nan")):
+        assert exit_code(capsys, *argv, "--json") == 2

@@ -153,14 +153,14 @@ class TestWgwFactorization:
     def test_fixture_pairs(self, n, m):
         report = verify_wgw(n, m)
         assert report.passed
-        assert report.max_abs_error < 1e-12
+        assert report.wgw_error < 1e-12
 
     def test_full_grid(self):
         for n in range(1, 7):
             for m in range(1, n + 1):
                 report = verify_wgw(n, m)
-                assert report.passed, (n, m, report.max_abs_error)
-                assert abs(abs(report.global_phase) - 1) < 1e-12
+                assert report.passed, (n, m, report.wgw_error)
+                assert abs(abs(report.wgw_phase) - 1) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_dense_reference(self, n):
@@ -168,7 +168,7 @@ class TestWgwFactorization:
             fast, dense = verify_wgw(n, m), reference.verify_wgw(n, m)
             assert (fast.n, fast.m, fast.passed, fast.mixing_unitary) == (
                 dense.n, dense.m, dense.passed, dense.mixing_unitary), (n, m)
-            for field in ("max_abs_error", "global_phase", "gamma_modulus_error",
+            for field in ("wgw_error", "wgw_phase", "gamma_modulus_error",
                           "walsh_involution_error"):
                 assert abs(getattr(fast, field) - getattr(dense, field)) < 1e-12, (n, m, field)
 
@@ -188,7 +188,7 @@ class TestWgwFactorization:
         monkeypatch.setattr(hogg, "gamma_matrix", flipped)
         report = verify_wgw(3, 3)
         assert report.passed is False
-        assert report.max_abs_error > 0.1
+        assert report.wgw_error > 0.1
         assert report.gamma_modulus_error < 1e-12
 
     def test_non_unitary_mixing_column_fails(self, monkeypatch):

@@ -142,15 +142,15 @@ class TestSequenceUnitary:
 class TestCompileDiagonal:
     def test_conflict_diagonal_compiles_to_barred_z(self):
         f = parse_formula("v1 & v2 & v3")
-        seq = compile_diagonal(phase_matrix(f))
+        seq = compile_diagonal(phase_matrix(f)).sequence
         assert seq.to_text() == "Z~1 Z~2 Z~3"
 
     def test_mixing_diagonal_compiles_to_z(self):
-        seq = compile_diagonal(gamma_matrix(3, 3))
+        seq = compile_diagonal(gamma_matrix(3, 3)).sequence
         assert seq.to_text() == "Z1 Z2 Z3"
 
     def test_identity_diagonal(self):
-        assert compile_diagonal(np.ones(4, dtype=complex)) == EMPTY_SEQUENCE
+        assert compile_diagonal(np.ones(4, dtype=complex)).sequence == EMPTY_SEQUENCE
 
     def test_round_trip_over_all_odd_one_sat_diagonals(self):
         # odd-m conflict diagonals are products of per-clause i**c factors
@@ -161,7 +161,7 @@ class TestCompileDiagonal:
                 diag = phase_matrix(f)
                 if f.m % 2 == 0:
                     continue
-                seq = compile_diagonal(diag)
+                seq = compile_diagonal(diag).sequence
                 err, _ = phase_aligned_error(sequence_to_unitary(seq, n), np.diag(diag))
                 assert err < 1e-10, str(f)
 
@@ -185,7 +185,7 @@ class TestCompileDiagonal:
                     continue
                 diag = phase_matrix(f)
                 try:
-                    seq = compile_diagonal(diag)
+                    seq = compile_diagonal(diag).sequence
                 except NotTensorFactorable:
                     continue
                 err, _ = phase_aligned_error(sequence_to_unitary(seq, n), np.diag(diag))
@@ -204,8 +204,8 @@ class TestCompileDiagonal:
         # compile(A B) equals compile(A) + compile(B) up to global phase
         a = phase_matrix(parse_formula("v1 & !v2 & v3"))
         b = gamma_matrix(3, 3)
-        combined = compile_diagonal(a * b)
-        stitched = PulseSequence(compile_diagonal(a).pulses + compile_diagonal(b).pulses)
+        combined = compile_diagonal(a * b).sequence
+        stitched = PulseSequence(compile_diagonal(a).sequence.pulses + compile_diagonal(b).sequence.pulses)
         err, _ = phase_aligned_error(
             sequence_to_unitary(combined, 3), sequence_to_unitary(stitched, 3))
         assert err < 1e-10
@@ -218,7 +218,7 @@ class TestCompileDiagonal:
         diag = np.ones(1, dtype=complex)
         for theta in angles:
             diag = np.kron(diag, np.array([1.0, np.exp(1j * theta)]))
-        seq = compile_diagonal(diag)
+        seq = compile_diagonal(diag).sequence
         err, _ = phase_aligned_error(sequence_to_unitary(seq, n), np.diag(diag))
         assert err < 1e-10
 

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from hoggsat.spin_sim import (
     pseudo_pure_populations,
     run_experiment,
     run_prep_scheme,
-    significant_terms,
     stick_spectrum,
     target_pseudo_pure,
     thermal_populations,
@@ -41,6 +41,8 @@ from hoggsat.spin_sim import (
     z_product_decomposition,
 )
 from reference import z_product
+
+ALANINE_SPINS = (Path(__file__).resolve().parents[1] / "demos" / "data" / "alanine.spins").read_text()
 
 # frozen product-operator decompositions of the three temporal-averaging
 # experiments (coefficients of 2**(|S|-1) * prod I_kz terms)
@@ -149,13 +151,13 @@ class TestGates:
         populations = apply_gates(thermal_populations(3), [Flip(3), CNot(2, 1), CNot(3, 2)], 3)
         coeffs, residual = z_product_decomposition(populations)
         assert residual == 0.0
-        assert significant_terms(coeffs) == pytest.approx(EXPERIMENT_TERMS[1])
+        assert coeffs == pytest.approx(EXPERIMENT_TERMS[1])
 
     def test_third_experiment_terms(self):
         populations = apply_gates(thermal_populations(3), [CNot(3, 2), CNot(1, 2), CNot(2, 1)], 3)
         coeffs, residual = z_product_decomposition(populations)
         assert residual == 0.0
-        assert significant_terms(coeffs) == pytest.approx(EXPERIMENT_TERMS[2])
+        assert coeffs == pytest.approx(EXPERIMENT_TERMS[2])
 
     def test_conjugation_preserves_structure(self):
         # conjugating a diagonal state by a permutation gate permutes its
@@ -229,7 +231,7 @@ class TestPrepSchemes:
     def test_three_spin_per_experiment_decompositions(self):
         for experiment, expected in zip(three_spin_prep_scheme().experiments, EXPERIMENT_TERMS):
             coeffs, _ = z_product_decomposition(run_experiment(experiment, 3))
-            assert significant_terms(coeffs) == pytest.approx(expected)
+            assert coeffs == pytest.approx(expected)
 
     def test_three_spin_experiment_count_is_minimal(self):
         scheme = three_spin_prep_scheme()
@@ -267,7 +269,7 @@ class TestPrepSchemes:
             trial = PrepScheme(tuple(base + [Experiment(last + tail)]), gradient=True)
             residual = run_prep_scheme(trial, 4) - target_pseudo_pure(4)
             coeffs, _ = z_product_decomposition(residual)
-            if len(significant_terms(coeffs)) == 1:
+            if len(coeffs) == 1:
                 surviving.append(name)
         assert surviving == ["N1"]
 
@@ -301,12 +303,15 @@ class TestPrepSchemes:
         with pytest.raises(ValueError, match="dense routes are capped at n=12"):
             prep_report(scheme, 13)
 
+    def test_decomposition_keeps_only_nonzero_terms(self):
+        assert z_product_decomposition(thermal_populations(3))[0] == {(1,): 1.0, (2,): 1.0, (3,): 1.0}
+
     def test_round_trip_decomposition(self):
         # expand the second experiment's terms to a matrix and re-project
         rho = sum(c * z_product(s, 3) for s, c in EXPERIMENT_TERMS[1].items())
         coeffs, residual = z_product_decomposition(rho)
         assert residual < 1e-12
-        assert significant_terms(coeffs) == pytest.approx(EXPERIMENT_TERMS[1])
+        assert coeffs == pytest.approx(EXPERIMENT_TERMS[1])
 
     def test_format_terms(self):
         text = format_z_terms(EXPERIMENT_TERMS[1])
@@ -335,6 +340,16 @@ class TestSchemeParsing:
 
     def test_gradient_directive(self):
         assert parse_prep_scheme("@gradient off\nE\n").gradient is False
+
+    @pytest.mark.parametrize("text,line", [
+        ("@gradient on\nE\n@gradient off\nCN21 TIP1\n", 3),  # would re-flag experiment 1
+        ("E\n@gradient off\n", 2),
+        ("@gradient off\n@gradient off\nE\n", 2),
+    ])
+    def test_gradient_directive_once_before_the_experiments(self, text, line):
+        with pytest.raises(SchemeParseError, match="@gradient must come once, before the first experiment") as exc:
+            parse_prep_scheme(text)
+        assert exc.value.line == line
 
     def test_tip_token(self):
         scheme = parse_prep_scheme("CN12 TIP3\n")
@@ -420,6 +435,11 @@ class TestVectorIngestion:
         with pytest.raises(ValueError):
             parse_measured_vector("1, x")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_is_malformed(self, token):
+        with pytest.raises(ValueError, match=f"malformed value in vector: non-finite value '{token}'"):
+            parse_measured_vector(f"1, {token}")
+
 
 class TestSpinSystem:
     def test_alanine_coupling_lookup(self):
@@ -452,6 +472,37 @@ class TestSpinSystem:
         with pytest.raises(SpinSystemParseError) as exc:
             parse_spin_system("n 2\nshift 1 0.0\nbogus line\n")
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("line,first,entry", [
+        ("n 3", 3, "n"),
+        ("shift 2 5", 5, "shift 2"),
+        ("j 2 1 10", 7, "j 1 2"),  # either spin order names the same coupling
+        ("j 1 2 34.94", 7, "j 1 2"),
+        ("t1 3 1.5", 12, "t1 3"),
+        ("t2 1 9", 13, "t2 1"),
+    ])
+    def test_repeated_entry_is_an_error(self, line, first, entry):
+        with pytest.raises(SpinSystemParseError) as exc:
+            parse_spin_system(ALANINE_SPINS + line + "\n")
+        assert (exc.value.line, exc.value.reason) == (16, f"repeated {entry} (first on line {first})")
+
+    @pytest.mark.parametrize("line,spin", [("shift 7 99", 7), ("t1 0 1", 0), ("t2 4 1", 4)])
+    def test_out_of_range_spin_is_an_error(self, line, spin):
+        with pytest.raises(SpinSystemParseError) as exc:
+            parse_spin_system(ALANINE_SPINS + line + "\n")
+        assert (exc.value.line, exc.value.reason) == (16, f"spin {spin} out of range for n=3")
+
+    def test_spin_range_waits_for_a_late_count(self):
+        with pytest.raises(SpinSystemParseError) as exc:
+            parse_spin_system("shift 1 1\nshift 2 2\nn 2\nshift 3 3\n")
+        assert (exc.value.line, exc.value.reason) == (4, "spin 3 out of range for n=2")
+
+    @pytest.mark.parametrize("old,new", [
+        ("shift 1 -4320.0", "shift 1 nan"), ("j 1 3 1.21", "j 1 3 inf"), ("t2 2 0.41", "t2 2 -nan"),
+    ])
+    def test_non_finite_value_is_malformed(self, old, new):
+        with pytest.raises(SpinSystemParseError, match=f"malformed value in '{new}'"):
+            parse_spin_system(ALANINE_SPINS.replace(old, new))
 
 
 class TestStickSpectrum:
@@ -566,7 +617,7 @@ def test_gradient_off_route_matches_dense_reference(n, data):
     assert abs(report.sum_off_diagonal_max - np.abs(total - np.diag(np.diagonal(total))).max()) <= 1e-12
     for (coeffs, residual), rho in zip(report.experiments, dense):
         expected, expected_residual = reference.z_product_decomposition(rho)
-        assert max(abs(coeffs[s] - expected[s]) for s in expected) <= 1e-12
+        assert max(abs(coeffs.get(s, 0.0) - expected[s]) for s in expected) <= 1e-12
         assert abs(residual - expected_residual) <= 1e-12
 
 
@@ -584,8 +635,8 @@ def test_decomposition_matches_dense_reference(n, off_diagonal, data):
         rho += h - np.diag(np.diagonal(h))
     coeffs, residual = z_product_decomposition(rho)
     expected, expected_residual = reference.z_product_decomposition(rho)
-    assert list(coeffs) == list(expected)
-    assert max(abs(coeffs[s] - expected[s]) for s in expected) <= 1e-12
+    assert set(coeffs) == {s for s, c in expected.items() if abs(c) > 1e-9}
+    assert max(abs(coeffs.get(s, 0.0) - expected[s]) for s in expected) <= 1e-12
     assert abs(residual - expected_residual) <= 1e-12
     assert z_product_decomposition(diag)[0] == coeffs
 

@@ -16,13 +16,13 @@ from hoggsat import (
     error_metrics,
     ideal_population_vector,
     parse_formula,
+    pseudo_pure_populations,
     reverse_bits,
     solutions,
-    target_pseudo_pure,
 )
 
 print("prepared pseudo-pure state:")
-ideal = diag_tomography(target_pseudo_pure(3)).values
+ideal = diag_tomography(pseudo_pure_populations(3)).values
 metrics = error_metrics(MEASURED_PREP_DIAG, ideal)
 print(f"  measured: {MEASURED_PREP_DIAG}")
 print(f"  ideal:    {tuple(ideal)}")

@@ -12,41 +12,34 @@ single surplus I3z term with a transverse tip plus gradient in the third
 experiment.
 """
 
-import numpy as np
-
 from hoggsat import (
     CNot,
     Experiment,
     Flip,
     PrepScheme,
+    builtin_prep_scheme,
     format_z_terms,
-    four_spin_prep_scheme,
-    run_experiment,
-    run_prep_scheme,
-    target_pseudo_pure,
-    three_spin_prep_scheme,
-    thermal_state,
+    prep_report,
+    pseudo_pure_populations,
+    thermal_populations,
     z_product_decomposition,
 )
 
 print("=== three spins ===")
-scheme = three_spin_prep_scheme()
-print("thermal state:", format_z_terms(z_product_decomposition(thermal_state(3))[0]))
-for index, experiment in enumerate(scheme.experiments, start=1):
-    coeffs, _ = z_product_decomposition(run_experiment(experiment, 3))
-    gates = " ".join(str(g) for g in experiment.gates) or "E"
-    print(f"experiment {index} ({gates}): {format_z_terms(coeffs)}")
-total = run_prep_scheme(scheme, 3)
-target = target_pseudo_pure(3)
-print("sum:   ", format_z_terms(z_product_decomposition(total)[0]))
-print("target:", format_z_terms(z_product_decomposition(target)[0]))
-print(f"max residual: {np.abs(total - target).max():.2e}")
+scheme = builtin_prep_scheme(3)
+report = prep_report(scheme, 3)
+print("thermal state:", format_z_terms(z_product_decomposition(thermal_populations(3))[0]))
+for index, (experiment, (coeffs, _)) in enumerate(zip(scheme.experiments, report.experiments), start=1):
+    print(f"experiment {index} ({experiment}): {format_z_terms(coeffs)}")
+print("sum:   ", format_z_terms(z_product_decomposition(report.sum_diagonal)[0]))
+print("target:", format_z_terms(z_product_decomposition(pseudo_pure_populations(3))[0]))
+print(f"max residual: {report.max_residual:.2e}")
 print("note the -I3z of experiment 2 cancelling the +I3z of experiment 3:")
 print("9 raw terms collapse to the 7 target terms")
 print()
 
 print("=== four spins: resolving the ambiguous final NOT token ===")
-scheme4 = four_spin_prep_scheme()
+scheme4 = builtin_prep_scheme(4)
 base = [Experiment(e.gates) for e in scheme4.experiments[:4]]
 last_gates = scheme4.experiments[4].gates[:-1]  # CN23 CN24 without the NOT
 candidates = {
@@ -57,7 +50,7 @@ candidates = {
 }
 for name, tail in candidates.items():
     trial = PrepScheme(tuple(base + [Experiment(last_gates + tail)]))
-    residual = run_prep_scheme(trial, 4) - target_pseudo_pure(4)
+    residual = prep_report(trial, 4).sum_diagonal - pseudo_pure_populations(4)
     terms = z_product_decomposition(residual)[0]
     print(f"reading {name:9s}: residual = {format_z_terms(terms)}")
 
@@ -68,5 +61,4 @@ print("NOT gates and one term is removed by the gradient.  The built-in")
 print("scheme tips spin 3 transverse at the end of experiment 3 (the only")
 print("experiment whose surplus ancestor is a lone I3z), so the ideal")
 print("gradient crusher removes it:")
-final = run_prep_scheme(scheme4, 4)
-print(f"built-in four-spin scheme residual: {np.abs(final - target_pseudo_pure(4)).max():.2e}")
+print(f"built-in four-spin scheme residual: {prep_report(scheme4, 4).max_residual:.2e}")

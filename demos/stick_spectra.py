@@ -5,7 +5,7 @@ component per spin (only one partner-state combination is populated); the
 thermal state shows the full multiplet with equal line amplitudes.
 """
 
-from hoggsat import ALANINE, stick_spectrum, target_pseudo_pure, thermal_state
+from hoggsat import ALANINE, pseudo_pure_populations, stick_spectrum, thermal_populations
 
 print("alanine three-carbon system:")
 print(f"  shifts (Hz):    {ALANINE.shifts_hz}")
@@ -14,11 +14,11 @@ print(f"  T2 (s):         {ALANINE.t2_s}   (1/(2*J13) = {1 / (2 * ALANINE.coupli
 print("                   which is why no CN13/CN31 appears in the preparation scheme)")
 print()
 
-for label, rho in (("pseudo-pure |000>", target_pseudo_pure(3)),
-                   ("thermal equilibrium", thermal_state(3))):
+for label, populations in (("pseudo-pure |000>", pseudo_pure_populations(3)),
+                           ("thermal equilibrium", thermal_populations(3))):
     print(f"{label}:")
     for spin in (1, 2, 3):
-        lines = stick_spectrum(rho, spin, ALANINE)
+        lines = stick_spectrum(populations, spin, ALANINE)
         rendered = ", ".join(f"{l.frequency_hz:+.3f} Hz (amp {l.amplitude:+.3f})" for l in lines)
         print(f"  spin {spin}: {len(lines)} line(s): {rendered}")
     print()

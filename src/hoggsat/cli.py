@@ -41,7 +41,6 @@ from .linalg import MAX_DENSE_QUBITS
 from .pulse import (
     NotTensorFactorable,
     compile_diagonal,
-    lowering_errors,
     parse_pulse_sequence,
     verify_table_sequence,
 )
@@ -52,6 +51,7 @@ from .spin_sim import (
     format_z_terms,
     ideal_population_vector,
     lint_scheme,
+    lowering_errors,
     parse_measured_vector,
     parse_prep_scheme,
     parse_spin_system,

@@ -1,7 +1,7 @@
 """Single-spin pulse sequences: parsing, unitaries, compilation of diagonal
 operators to z-rotations, verification of reduced sequences against the
-search operator U R W, and lowering of permutation gates to pulse-and-delay
-programs.
+search operator U R W, and the pulse-and-delay programs that permutation
+gates lower to (the gates themselves live in `spin_sim`).
 
 Notation (mirrors the usual NMR shorthand):
 
@@ -29,7 +29,6 @@ import numpy as np
 from .formula import Formula, parse_assignment_bits, reverse_bits, spin_bit
 from .hogg import gamma_matrix, phase_matrix, walsh_apply
 from .linalg import IDENTITY_2, check_dense_size, kron_all, phase_aligned_error, rotation
-from .spin_sim import CNot, Flip, gate_image, three_spin_prep_scheme
 
 QUARTER_TURN = np.pi / 2
 COMPILE_TOL = 1e-10  # largest round-trip error, up to global phase, of a compiled diagonal
@@ -338,10 +337,6 @@ class TableRow:
     solution_kets: tuple[str, ...]
     sequence_text: str
 
-    @property
-    def m(self) -> int:
-        return self.formula_text.count("v")
-
     def solution_assignments(self) -> frozenset[int]:
         """Solution set in package convention (spin 1 = most significant)."""
         return frozenset(reverse_bits(parse_assignment_bits(k), 3) for k in self.solution_kets)
@@ -370,7 +365,7 @@ THREE_SPIN_TABLE = (
 
 
 # ---------------------------------------------------------------------------
-# lowering permutation gates to pulses and coupling delays
+# pulse-and-delay programs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -423,50 +418,3 @@ def program_unitary(program: LoweredProgram, n: int) -> np.ndarray:
             PulseSequence((element,)), n)
         out = mat @ out
     return out
-
-
-def lower_gate(gate) -> tuple[ProgramElement, ...]:
-    """Textbook weak-coupling realization of one permutation gate.
-
-    A controlled NOT becomes pi/2 pulses around a 1/(2*J) coupling delay
-    flanked by pi refocusing pulses; an unconditional NOT is a single pi
-    pulse.  The realization matches the gate up to global phase.
-    """
-    if isinstance(gate, Flip):
-        return (Pulse(gate.spin, "x", np.pi),)
-    if isinstance(gate, CNot):
-        control, target = gate.control, gate.target
-        return (
-            Pulse(target, "-y", QUARTER_TURN),
-            Pulse(target, "x", np.pi),
-            JDelay(min(control, target), max(control, target)),
-            Pulse(target, "x", np.pi),
-            Pulse(target, "y", QUARTER_TURN),
-            Pulse(target, "x", QUARTER_TURN),
-            Pulse(control, "z", QUARTER_TURN),
-        )
-    raise TypeError(f"not a gate: {gate!r}")
-
-
-def prep_pulse_program() -> list[LoweredProgram]:
-    """Lower the built-in 3-spin preparation scheme to pulse programs."""
-    programs = []
-    for index, experiment in enumerate(three_spin_prep_scheme().experiments, start=1):
-        elements: list[ProgramElement] = []
-        for gate in experiment.gates:
-            elements.extend(lower_gate(gate))
-        programs.append(LoweredProgram(f"experiment {index}: {experiment}", tuple(elements)))
-    return programs
-
-
-def lowering_errors() -> list[tuple[LoweredProgram, float]]:
-    """Each program of `prep_pulse_program` with its max error, up to global
-    phase, against the permutation matrix of its experiment's gate chain."""
-    n, rows = 3, []
-    for program, experiment in zip(prep_pulse_program(), three_spin_prep_scheme().experiments):
-        image = np.arange(2**n)
-        for gate in experiment.gates:
-            image = image[gate_image(gate, n)]
-        err, _ = phase_aligned_error(program_unitary(program, n), np.eye(2**n)[image])
-        rows.append((program, err))
-    return rows

@@ -21,8 +21,13 @@ Conventions:
   in `formula`; Kronecker factor k - 1 of a per-spin product is the same rule.
 * Gate sequences inside an `Experiment` are stored in application order:
   the first listed gate acts first.  NMR shorthand often writes gate
-  strings right to left instead; the built-in scheme constructors perform
-  that conversion and say so.
+  strings right to left instead; the built-in schemes (`BUILTIN_SCHEMES`)
+  are scheme-file text in application order, and their comment gives the
+  right-to-left reading.
+* Each gate type owns its behaviour: `image(n)` sends basis state i to
+  image[i] (both gates are involutions, so `populations[image]` are the
+  populations after the gate), and `lowered()` is the textbook weak-coupling
+  pulse-and-delay realization, equal to the gate up to global phase.
 * The ideal field-gradient model zeroes all off-diagonal elements of an
   experiment's contribution before it enters the temporal-averaging sum
   (Knill, Chuang & Laflamme, PRA 57, 3348 (1998)), so a gradient-on
@@ -44,7 +49,8 @@ import numpy as np
 
 from .formula import check_qubit_count, spin_bit
 from .hogg import walsh_apply
-from .linalg import check_dense_size, kron_all, rotation
+from .linalg import check_dense_size, kron_all, phase_aligned_error, rotation
+from .pulse import QUARTER_TURN, JDelay, LoweredProgram, ProgramElement, Pulse, program_unitary
 
 Z_TERM_TOL = 1e-9  # smallest |coefficient| of a z-product term that is reported
 
@@ -141,6 +147,27 @@ class CNot:
     def __str__(self) -> str:
         return f"CN{self.control}{self.target}"
 
+    def image(self, n: int) -> np.ndarray:
+        if self.control == self.target:
+            raise ValueError("control and target must differ")
+        source = np.arange(2**n)
+        control = spin_bit(self.control, n, f"gate {self}")
+        target = spin_bit(self.target, n, f"gate {self}")
+        return np.where(source & control, source ^ target, source)
+
+    def lowered(self) -> tuple[ProgramElement, ...]:
+        """pi/2 pulses around a 1/(2*J) coupling delay flanked by pi refocusing pulses."""
+        control, target = self.control, self.target
+        return (
+            Pulse(target, "-y", QUARTER_TURN),
+            Pulse(target, "x", np.pi),
+            JDelay(min(control, target), max(control, target)),
+            Pulse(target, "x", np.pi),
+            Pulse(target, "y", QUARTER_TURN),
+            Pulse(target, "x", QUARTER_TURN),
+            Pulse(control, "z", QUARTER_TURN),
+        )
+
 
 @dataclass(frozen=True)
 class Flip:
@@ -151,24 +178,15 @@ class Flip:
     def __str__(self) -> str:
         return f"N{self.spin}"
 
+    def image(self, n: int) -> np.ndarray:
+        return np.arange(2**n) ^ spin_bit(self.spin, n, f"gate {self}")
+
+    def lowered(self) -> tuple[ProgramElement, ...]:
+        """A single pi pulse."""
+        return (Pulse(self.spin, "x", np.pi),)
+
 
 Gate = Union[CNot, Flip]
-
-
-def gate_image(gate: Gate, n: int) -> np.ndarray:
-    """Index map of a CNot or Flip on n spins: the gate sends basis state i
-    to image[i].  Both gates are involutions, so the map is its own inverse
-    and `populations[image]` are the populations after the gate."""
-    source = np.arange(2**n)
-    if isinstance(gate, CNot):
-        if gate.control == gate.target:
-            raise ValueError("control and target must differ")
-        control = spin_bit(gate.control, n, f"gate {gate}")
-        target = spin_bit(gate.target, n, f"gate {gate}")
-        return np.where(source & control, source ^ target, source)
-    if isinstance(gate, Flip):
-        return source ^ spin_bit(gate.spin, n, f"gate {gate}")
-    raise TypeError(f"not a gate: {gate!r}")
 
 
 @dataclass(frozen=True)
@@ -188,6 +206,14 @@ class Experiment:
         """Gates then tips, as in ``CN12 N3 TIP6``; ``E`` stands for no gates."""
         return (" ".join(map(str, self.gates)) or "E") + "".join(f" TIP{s}" for s in self.tip_spins)
 
+    def image(self, n: int) -> np.ndarray:
+        """Index map of the gate chain: `populations[image]` follow every gate,
+        and `np.eye(2**n)[image]` is the chain's permutation matrix."""
+        image = np.arange(2**n)
+        for gate in self.gates:
+            image = image[gate.image(n)]
+        return image
+
 
 @dataclass(frozen=True)
 class PrepScheme:
@@ -195,50 +221,6 @@ class PrepScheme:
 
     experiments: tuple[Experiment, ...]
     gradient: bool = True
-
-
-def three_spin_prep_scheme() -> PrepScheme:
-    """Built-in three-experiment scheme preparing the 3-spin pseudo-pure state.
-
-    In right-to-left gate notation the experiments read E, CN32 CN21 N3,
-    and CN21 CN12 CN32; stored here in application order.  The scheme
-    avoids any CN13/CN31 gate, whose coupling evolution is impractically
-    slow on the alanine system.
-    """
-    return PrepScheme((
-        Experiment(),
-        Experiment((Flip(3), CNot(2, 1), CNot(3, 2))),
-        Experiment((CNot(3, 2), CNot(1, 2), CNot(2, 1))),
-    ))
-
-
-def four_spin_prep_scheme() -> PrepScheme:
-    """Built-in five-experiment scheme preparing the 4-spin pseudo-pure state.
-
-    The recipe is tabulated with gates in temporal order (unlike the 3-spin
-    gate strings) and an ambiguous final NOT token in its fifth experiment;
-    searching the candidate readings shows that a plain N1 is the only one
-    whose sum reaches the target, up to a single surplus I3z term.  That
-    surplus is the gradient-removed term of the recipe's own accounting:
-    the third experiment (where the surplus ancestor is a lone I3z) tips
-    spin 3 transverse so the crusher gradient can discard it.
-    """
-    return PrepScheme((
-        Experiment((CNot(1, 2), CNot(1, 4), CNot(3, 1))),
-        Experiment((CNot(2, 1), CNot(4, 2), CNot(3, 4))),
-        Experiment((CNot(1, 2), CNot(4, 2)), tip_spins=(3,)),
-        Experiment((CNot(1, 2), CNot(1, 4), Flip(3))),
-        Experiment((CNot(2, 3), CNot(2, 4), Flip(1))),
-    ))
-
-
-def builtin_prep_scheme(n: int) -> PrepScheme:
-    check_qubit_count(n)
-    if n == 3:
-        return three_spin_prep_scheme()
-    if n == 4:
-        return four_spin_prep_scheme()
-    raise ValueError(f"no built-in preparation scheme for n={n}")
 
 
 def _tip(populations: np.ndarray, spin: int, count: int, n: int) -> np.ndarray:
@@ -255,9 +237,7 @@ def _tip(populations: np.ndarray, spin: int, count: int, n: int) -> np.ndarray:
 def _gated_populations(experiment: Experiment, n: int) -> tuple[np.ndarray, Counter]:
     """The thermal populations permuted by the gates in application order,
     and the tip count of each spin, every tipped spin range-checked."""
-    populations = thermal_populations(n)
-    for gate in experiment.gates:
-        populations = populations[gate_image(gate, n)]
+    populations = thermal_populations(n)[experiment.image(n)]
     tips = Counter(experiment.tip_spins)
     for spin in tips:
         spin_bit(spin, n, f"TIP{spin}")
@@ -375,6 +355,41 @@ def parse_prep_scheme(text: str) -> PrepScheme:
     return PrepScheme(tuple(experiments), gradient is not False)
 
 
+# The built-in temporal-averaging schemes as scheme-file text, gates in
+# application order.  In right-to-left gate notation the three-spin
+# experiments read E, CN32 CN21 N3 and CN21 CN12 CN32; the scheme avoids any
+# CN13/CN31 gate, whose coupling evolution is impractically slow on the
+# alanine system.  The four-spin recipe is tabulated in temporal order, with
+# an ambiguous final NOT token in its fifth experiment; searching the
+# candidate readings shows that a plain N1 is the only one whose sum reaches
+# the target, up to a single surplus I3z term.  That surplus is the
+# gradient-removed term of the recipe's own accounting: the third experiment
+# (where the surplus ancestor is a lone I3z) tips spin 3 transverse so the
+# crusher gradient can discard it.
+BUILTIN_SCHEMES = {3: "E\nN3 CN21 CN32\nCN32 CN12 CN21\n",
+                   4: "CN12 CN14 CN31\nCN21 CN42 CN34\nCN12 CN42 TIP3\nCN12 CN14 N3\nCN23 CN24 N1\n"}
+
+
+def builtin_prep_scheme(n: int) -> PrepScheme:
+    check_qubit_count(n)
+    if n not in BUILTIN_SCHEMES:
+        raise ValueError(f"no built-in preparation scheme for n={n}")
+    return parse_prep_scheme(BUILTIN_SCHEMES[n])
+
+
+def lowering_errors() -> list[tuple[LoweredProgram, float]]:
+    """The built-in 3-spin scheme lowered to one pulse program per
+    experiment, from its gates' `lowered()`, each with its max error, up to
+    global phase, against the permutation matrix of its gate chain."""
+    rows = []
+    for index, experiment in enumerate(builtin_prep_scheme(3).experiments, start=1):
+        program = LoweredProgram(f"experiment {index}: {experiment}",
+                                 tuple(element for gate in experiment.gates for element in gate.lowered()))
+        err, _ = phase_aligned_error(program_unitary(program, 3), np.eye(8)[experiment.image(3)])
+        rows.append((program, err))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # tomography readout and error metrics
 # ---------------------------------------------------------------------------
@@ -467,6 +482,11 @@ def parse_measured_vector(text: str) -> np.ndarray:
 # spin systems and stick spectra
 # ---------------------------------------------------------------------------
 
+def _check_pair(i: int, j: int, n: int) -> None:
+    if not 1 <= i < j <= n:
+        raise ValueError(f"bad coupling pair ({i}, {j})")
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     """Chemical shifts (Hz), scalar couplings (Hz), optional T1/T2 (s)."""
@@ -481,11 +501,12 @@ class SpinSystem:
         if len(self.shifts_hz) != self.n:
             raise ValueError("one chemical shift per spin is required")
         for i, j, _ in self.couplings_hz:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"bad coupling pair ({i}, {j})")
+            _check_pair(i, j, self.n)
         for name, values in (("t1", self.t1_s), ("t2", self.t2_s)):
             if values is not None and len(values) != self.n:
                 raise ValueError(f"{name} must list one value per spin")
+            if values is not None and not all(v > 0 for v in values):
+                raise ValueError(f"{name} must be positive")
 
     def coupling(self, i: int, j: int) -> float:
         a, b = min(i, j), max(i, j)
@@ -516,13 +537,15 @@ def parse_spin_system(text: str) -> SpinSystem:
 
     Lines: ``n <count>``, ``shift <spin> <Hz>``, ``j <i> <j> <Hz>``,
     ``t1 <spin> <s>``, ``t2 <spin> <s>``.  ``#`` starts a comment.  Values
-    are finite, each entry is given once (``j 1 2`` and ``j 2 1`` are one
-    entry) and each spin lies in [1, n].
+    are finite, T1 and T2 are positive, each entry is given once (``j 1 2``
+    and ``j 2 1`` are one entry) and each spin lies in [1, n]; a coupling
+    pair names two different spins.
     """
     n = None
     tables: dict[str, dict[int, float]] = {"shift": {}, "t1": {}, "t2": {}}
     couplings: dict[tuple[int, int], float] = {}
     entry_lines: dict[tuple, list[int]] = {}
+    faults = []  # (line, reason), raised once the file is otherwise valid
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -535,6 +558,8 @@ def parse_spin_system(text: str) -> SpinSystem:
             elif key in tables and len(parts) == 3:
                 entry = (key, int(parts[1]))
                 tables[key][entry[1]] = _finite(parts[2])
+                if key != "shift" and tables[key][entry[1]] <= 0:
+                    faults.append((lineno, f"{key} must be positive in {line!r}"))
             elif key == "j" and len(parts) == 4:
                 entry = ("j", *sorted((int(parts[1]), int(parts[2]))))
                 couplings[entry[1:]] = _finite(parts[3])
@@ -559,25 +584,26 @@ def parse_spin_system(text: str) -> SpinSystem:
             raise SpinSystemParseError(0, f"incomplete relaxation data, missing spin(s) {gaps}")
         return tuple(table[k] for k in range(1, n + 1))
 
-    system = SpinSystem(
-        n=n,
-        shifts_hz=tuple(tables["shift"][k] for k in range(1, n + 1)),
-        couplings_hz=tuple((i, j, couplings[(i, j)]) for i, j in sorted(couplings)),
-        t1_s=pack(tables["t1"]),
-        t2_s=pack(tables["t2"]),
-    )
-    faults = []  # (line, reason): repeated entries and out-of-range spins
+    t1_s, t2_s = pack(tables["t1"]), pack(tables["t2"])
     for entry, lines in entry_lines.items():
         if len(lines) > 1:
             faults.append((lines[1], f"repeated {' '.join(map(str, entry))} (first on line {lines[0]})"))
-        if entry[0] in tables:
-            try:
+        try:
+            if entry[0] == "j":
+                _check_pair(*entry[1:], n)
+            elif entry[0] in tables:
                 spin_bit(entry[1], n)
-            except ValueError as exc:
-                faults.append((lines[0], str(exc)))
+        except ValueError as exc:
+            faults.append((lines[0], str(exc)))
     if faults:
         raise SpinSystemParseError(*min(faults))
-    return system
+    return SpinSystem(
+        n=n,
+        shifts_hz=tuple(tables["shift"][k] for k in range(1, n + 1)),
+        couplings_hz=tuple((i, j, couplings[(i, j)]) for i, j in sorted(couplings)),
+        t1_s=t1_s,
+        t2_s=t2_s,
+    )
 
 
 class SpectralLine(NamedTuple):
@@ -619,9 +645,10 @@ def stick_spectrum(state, spin: int, system: SpinSystem) -> list[SpectralLine]:
 def lint_scheme(scheme: PrepScheme, system: SpinSystem) -> list[str]:
     """Flag gates whose coupling evolution outlasts the shortest T2.
 
-    A CNot between spins i and j needs roughly 1/(2*J_ij) of scalar-coupling
-    evolution; when that time reaches the system's smallest T2 the gate is
-    impractical and is reported.  Uncoupled pairs are reported outright.
+    A CNot between spins i and j needs roughly 1/(2*|J_ij|) of scalar-coupling
+    evolution (J may be negative); when that time reaches the system's
+    smallest T2 the gate is impractical and is reported.  Uncoupled pairs
+    are reported outright.
     """
     warnings: list[str] = []
     seen: set[tuple[int, int]] = set()
@@ -638,7 +665,7 @@ def lint_scheme(scheme: PrepScheme, system: SpinSystem) -> list[str]:
             if j == 0.0:
                 warnings.append(f"{gate}: spins {pair[0]} and {pair[1]} are uncoupled")
                 continue
-            tau = 1.0 / (2.0 * j)
+            tau = 1.0 / (2.0 * abs(j))
             if min_t2 is not None and tau >= min_t2:
                 warnings.append(
                     f"{gate}: coupling evolution 1/(2*J) = {tau:.3f} s "

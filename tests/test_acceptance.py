@@ -31,14 +31,13 @@ from hoggsat.spin_sim import (
     MEASURED_SEARCH_DIAGS,
     CNot,
     Flip,
+    builtin_prep_scheme,
     error_metrics,
-    gate_image,
     ideal_population_vector,
     parse_measured_vector,
     run_experiment,
     run_prep_scheme,
     target_pseudo_pure,
-    three_spin_prep_scheme,
     z_product_decomposition,
 )
 from reference import is_unitary, mixing_matrix, negate_variable, one_sat_formulas, walsh_hadamard
@@ -151,7 +150,7 @@ def test_criterion_05_one_sat_completeness():
 
 
 def test_criterion_06_pseudo_pure_preparation():
-    scheme = three_spin_prep_scheme()
+    scheme = builtin_prep_scheme(3)
     residual = float(np.abs(run_prep_scheme(scheme, 3) - target_pseudo_pure(3)).max())
     coeff_err = 0.0
     for experiment, expected in zip(scheme.experiments, EXPERIMENT_TERMS):
@@ -239,7 +238,7 @@ def test_criterion_10_property_suites():
         populations -= populations.mean()
         out = populations
         for gate in (CNot(1, n), Flip(1), CNot(n, 1), Flip(n)):
-            image = gate_image(gate, n)
+            image = gate.image(n)
             conjugation_ok &= bool(np.array_equal(np.sort(image), np.arange(2**n)))
             out = out[image]
         conjugation_ok &= bool(abs(out.sum()) <= 1e-10)

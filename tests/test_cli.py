@@ -234,14 +234,14 @@ class TestPrep:
         calls = count_calls(monkeypatch, spin_sim, "run_experiment")
         code, _, _ = run_cli(capsys, "prep", "3")
         assert code == 0
-        assert len(calls) == len(spin_sim.three_spin_prep_scheme().experiments)
+        assert len(calls) == len(spin_sim.builtin_prep_scheme(3).experiments)
 
     def test_one_walsh_transform_per_experiment(self, capsys, monkeypatch):
         # the z-product decomposition is one Walsh transform, not a popcount per term
         calls = count_calls(monkeypatch, hogg, "walsh_apply")
         code, _, _ = run_cli(capsys, "prep", "3")
         assert code == 0
-        assert calls == ["z_product_decomposition"] * len(spin_sim.three_spin_prep_scheme().experiments)
+        assert calls == ["z_product_decomposition"] * len(spin_sim.builtin_prep_scheme(3).experiments)
 
 
     @pytest.mark.parametrize("gradient", ["on", "off"])
@@ -611,6 +611,8 @@ def test_json_never_prints_nan():
 @pytest.mark.parametrize("line,message", [
     ("j 2 1 10", "error: line 16: repeated j 1 2 (first on line 7)"),
     ("shift 7 99", "error: line 16: spin 7 out of range for n=3"),
+    ("j 2 2 5", "error: line 16: bad coupling pair (2, 2)"),
+    ("j 1 4 3", "error: line 16: bad coupling pair (1, 4)"),
 ])
 def test_spin_system_misreads_exit_2(capsys, tmp_path, line, message):
     path = tmp_path / "alanine.spins"
@@ -618,6 +620,29 @@ def test_spin_system_misreads_exit_2(capsys, tmp_path, line, message):
     for argv in (("spectrum", "thermal", "--spin", "1"), ("prep", "3")):
         code, out, err = run_cli(capsys, *argv, "--params", str(path))
         assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("old,new,line", [("t2 2 0.41", "t2 2 -0.41", 14), ("t1 3 1.5", "t1 3 0", 12)])
+def test_non_positive_relaxation_time_exits_2(capsys, tmp_path, old, new, line):
+    path = tmp_path / "alanine.spins"
+    path.write_text(Path(ALANINE_SPINS).read_text().replace(old, new))
+    message = f"error: line {line}: {new.split()[0]} must be positive in {new!r}"
+    for argv in (("spectrum", "thermal", "--spin", "1"), ("prep", "3")):
+        code, out, err = run_cli(capsys, *argv, "--params", str(path))
+        assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_lint_reads_the_size_of_a_negative_coupling(capsys, tmp_path):
+    scheme = tmp_path / "slow.scheme"
+    scheme.write_text("CN13\n")
+    outputs = []
+    for j13 in ("1.21", "-1.21"):
+        path = tmp_path / "alanine.spins"
+        path.write_text(Path(ALANINE_SPINS).read_text().replace("j 1 3 1.21", f"j 1 3 {j13}"))
+        _, out, _ = run_cli(capsys, "prep", "3", "--scheme", str(scheme), "--params", str(path))
+        outputs.append(out)
+    assert "lint: CN13: coupling evolution 1/(2*J) = 0.413 s" in outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_prep_rejects_a_spin_system_of_another_size(capsys):

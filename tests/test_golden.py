@@ -48,6 +48,9 @@ COMMANDS = (
     ("pulse", "compile-r", "v1 & v2"),
     ("pulse", "compile-gamma", "0", "--n", "16"),
     ("verify", "17", "1"),
+    # the built-in four-spin scheme and a prep-state spectrum
+    ("prep", "4"),
+    ("spectrum", "prep", "--spin", "1"),
 )
 
 # a decimal number: signed after a digit (the imaginary part of ``1-0i``),

@@ -15,9 +15,7 @@ from hoggsat.pulse import (
     PulseSequence,
     THREE_SPIN_TABLE,
     compile_diagonal,
-    lowering_errors,
     parse_pulse_sequence,
-    prep_pulse_program,
     program_unitary,
     reduce_sequence,
     search_unitary,
@@ -25,7 +23,7 @@ from hoggsat.pulse import (
     sequence_to_unitary,
     verify_table_sequence,
 )
-from hoggsat.spin_sim import three_spin_prep_scheme
+from hoggsat.spin_sim import builtin_prep_scheme, lowering_errors
 from reference import is_unitary, one_sat_formulas
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -327,12 +325,12 @@ class TestPhaseAlignment:
 
 class TestLoweredPrograms:
     def test_three_programs(self):
-        programs = prep_pulse_program()
+        programs = [program for program, _ in lowering_errors()]
         assert len(programs) == 3
         assert programs[0].elements == ()
 
     def test_programs_match_gate_chains(self):
-        scheme = three_spin_prep_scheme()
+        scheme = builtin_prep_scheme(3)
         for (program, err), experiment in zip(lowering_errors(), scheme.experiments):
             chain = np.eye(8)
             for gate in experiment.gates:
@@ -342,7 +340,7 @@ class TestLoweredPrograms:
             assert abs(abs(phase) - 1) < 1e-12
 
     def test_delays_stay_symbolic(self):
-        program = prep_pulse_program()[1]  # gates N3, CN21, CN32 in order
+        program, _ = lowering_errors()[1]  # gates N3, CN21, CN32 in order
         delays = [e for e in program.elements if hasattr(e, "duration_expr")]
         assert [d.duration_expr for d in delays] == ["1/(2*J12)", "1/(2*J23)"]
         assert "delay[1/(2*J12)]" in program.describe()

@@ -1,5 +1,6 @@
-"""Each package-wide rule has one owner in `formula`: the bit order
-(`spin_bit`) and the qubit cap (`check_qubit_count`)."""
+"""Each package-wide rule has one owner: the bit order (`spin_bit`) and the
+qubit cap (`check_qubit_count`) in `formula`, and the gate types, with their
+index maps and lowering, in `spin_sim`."""
 
 import ast
 import re
@@ -10,7 +11,7 @@ import pytest
 import hoggsat
 from hoggsat.cli import main
 from hoggsat.formula import parse_formula, solutions, spin_bit
-from hoggsat.spin_sim import Flip, gate_image
+from hoggsat.spin_sim import Flip
 
 SRC = Path(hoggsat.__file__).parent
 #: A hand-written bit-order shift: a spin or variable index subtracted from n.
@@ -31,12 +32,36 @@ def test_bit_order_shifts_live_only_in_spin_bit():
     assert elsewhere == []
 
 
+def test_gate_types_are_dispatched_only_in_spin_sim():
+    owned, elsewhere = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                names = {getattr(name, "id", getattr(name, "attr", None)) for name in ast.walk(node.args[-1])}
+                if names & {"CNot", "Flip"}:
+                    (owned if path.name == "spin_sim.py" else elsewhere).append(f"{path.name}:{node.lineno}")
+    assert owned, "the guard no longer finds spin_sim's own check"
+    assert elsewhere == []
+
+
+def test_pulse_imports_nothing_from_spin_sim():
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "pulse.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported.extend(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert "formula" in imported, "the guard no longer reads pulse's imports"
+    assert [name for name in imported if "spin_sim" in name] == []
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_spin_bit_agrees_with_formulas_and_gates(n):
     for k in range(1, n + 1):
         bit = spin_bit(k, n)
         assert bit == min(solutions(parse_formula(f"v{k}", n=n)))
-        assert bit == gate_image(Flip(k), n)[0]
+        assert bit == Flip(k).image(n)[0]
 
 
 @pytest.mark.parametrize("argv,scheme,message", [

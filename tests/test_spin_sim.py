@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,10 @@ from hoggsat.spin_sim import (
     SchemeParseError,
     SpinSystem,
     SpinSystemParseError,
+    builtin_prep_scheme,
     diag_tomography,
     error_metrics,
     format_z_terms,
-    four_spin_prep_scheme,
-    gate_image,
     ideal_population_vector,
     lint_scheme,
     parse_measured_vector,
@@ -37,12 +37,12 @@ from hoggsat.spin_sim import (
     target_pseudo_pure,
     thermal_populations,
     thermal_state,
-    three_spin_prep_scheme,
     z_product_decomposition,
 )
 from reference import z_product
 
-ALANINE_SPINS = (Path(__file__).resolve().parents[1] / "demos" / "data" / "alanine.spins").read_text()
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+ALANINE_SPINS = (DATA / "alanine.spins").read_text()
 
 # frozen product-operator decompositions of the three temporal-averaging
 # experiments (coefficients of 2**(|S|-1) * prod I_kz terms)
@@ -75,7 +75,7 @@ def dense_populations(experiment, n):
 
 def apply_gates(populations, gates, n):
     for gate in gates:
-        populations = populations[gate_image(gate, n)]
+        populations = populations[gate.image(n)]
     return populations
 
 
@@ -136,7 +136,7 @@ class TestReferenceStates:
 
 class TestGates:
     def test_cnot_is_permutation(self):
-        image = gate_image(CNot(1, 2), 2)
+        image = CNot(1, 2).image(2)
         # spin 1 is the high bit: |10> -> |11>, |11> -> |10>
         assert image.tolist() == [0, 1, 3, 2]
 
@@ -174,18 +174,18 @@ class TestGates:
             spins = range(1, n + 1)
             gates = [Flip(k) for k in spins] + [CNot(c, t) for c, t in itertools.permutations(spins, 2)]
             for gate in gates:
-                image = gate_image(gate, n)
+                image = gate.image(n)
                 dense = np.zeros((2**n, 2**n), dtype=complex)
                 dense[image, np.arange(2**n)] = 1.0
                 assert np.array_equal(dense, reference.gate_unitary(gate, n)), gate
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
-            gate_image(CNot(1, 1), 2)
+            CNot(1, 1).image(2)
         with pytest.raises(ValueError, match="out of range"):
-            gate_image(CNot(1, 3), 2)
+            CNot(1, 3).image(2)
         with pytest.raises(ValueError, match="out of range"):
-            gate_image(Flip(0), 2)
+            Flip(0).image(2)
 
     @pytest.mark.parametrize("spin", [0, 4, 9])
     def test_tip_out_of_range(self, spin):
@@ -222,30 +222,30 @@ class TestTips:
 
 class TestPrepSchemes:
     def test_three_spin_scheme_is_exact(self):
-        rho = run_prep_scheme(three_spin_prep_scheme(), 3)
+        rho = run_prep_scheme(builtin_prep_scheme(3), 3)
         assert np.abs(rho - target_pseudo_pure(3)).max() < 1e-12
-        report = prep_report(three_spin_prep_scheme(), 3)
+        report = prep_report(builtin_prep_scheme(3), 3)
         assert np.array_equal(report.sum_diagonal, pseudo_pure_populations(3))
         assert np.array_equal(rho, np.diag(report.sum_diagonal))
 
     def test_three_spin_per_experiment_decompositions(self):
-        for experiment, expected in zip(three_spin_prep_scheme().experiments, EXPERIMENT_TERMS):
+        for experiment, expected in zip(builtin_prep_scheme(3).experiments, EXPERIMENT_TERMS):
             coeffs, _ = z_product_decomposition(run_experiment(experiment, 3))
             assert coeffs == pytest.approx(expected)
 
     def test_three_spin_experiment_count_is_minimal(self):
-        scheme = three_spin_prep_scheme()
+        scheme = builtin_prep_scheme(3)
         assert len(scheme.experiments) == -(-(2**3 - 1) // 3)
 
     def test_four_spin_scheme_with_gradient_is_exact(self):
-        report = prep_report(four_spin_prep_scheme(), 4)
+        report = prep_report(builtin_prep_scheme(4), 4)
         assert report.max_residual == 0.0
         assert np.array_equal(report.sum_diagonal, pseudo_pure_populations(4))
-        assert np.abs(run_prep_scheme(four_spin_prep_scheme(), 4) - target_pseudo_pure(4)).max() < 1e-12
+        assert np.abs(run_prep_scheme(builtin_prep_scheme(4), 4) - target_pseudo_pure(4)).max() < 1e-12
 
     def test_four_spin_surplus_without_tips(self):
         # without the transverse tip the sum carries one extra I3z term
-        scheme = four_spin_prep_scheme()
+        scheme = builtin_prep_scheme(4)
         stripped = PrepScheme(
             tuple(Experiment(e.gates) for e in scheme.experiments), scheme.gradient)
         rho = run_prep_scheme(stripped, 4)
@@ -255,7 +255,7 @@ class TestPrepSchemes:
     def test_four_spin_reading_is_unique(self):
         # among the candidate readings of the ambiguous final NOT token,
         # only a plain N1 leaves a single surplus term
-        scheme = four_spin_prep_scheme()
+        scheme = builtin_prep_scheme(4)
         base = [Experiment(e.gates) for e in scheme.experiments[:4]]
         last = scheme.experiments[4].gates[:-1]
         candidates = {
@@ -331,8 +331,8 @@ class TestSchemeParsing:
         N3 CN21 CN32
         CN32 CN12 CN21
         """
-        scheme = parse_prep_scheme(text)
-        assert scheme == three_spin_prep_scheme()
+        for source in (text, (DATA / "three_spin.scheme").read_text()):
+            assert parse_prep_scheme(source) == builtin_prep_scheme(3)
 
     def test_identity_only(self):
         scheme = parse_prep_scheme("E\n")
@@ -440,6 +440,15 @@ class TestVectorIngestion:
         with pytest.raises(ValueError, match=f"malformed value in vector: non-finite value '{token}'"):
             parse_measured_vector(f"1, {token}")
 
+    def test_shipped_csv_files_are_the_measured_constants(self):
+        expected = {"measured_prep_diag.csv": MEASURED_PREP_DIAG}
+        for formula, vector in MEASURED_SEARCH_DIAGS.items():
+            stem = "_".join(literal.replace("!", "n") for literal in formula.split(" & "))
+            expected[f"measured_final_{stem}.csv"] = vector
+        assert sorted(path.name for path in DATA.glob("measured_*.csv")) == sorted(expected)
+        for name, vector in expected.items():
+            assert tuple(parse_measured_vector((DATA / name).read_text())) == vector, name
+
 
 class TestSpinSystem:
     def test_alanine_coupling_lookup(self):
@@ -497,6 +506,37 @@ class TestSpinSystem:
             parse_spin_system("shift 1 1\nshift 2 2\nn 2\nshift 3 3\n")
         assert (exc.value.line, exc.value.reason) == (4, "spin 3 out of range for n=2")
 
+    @pytest.mark.parametrize("line,pair", [("j 2 2 5", (2, 2)), ("j 1 4 3", (1, 4)), ("j 3 0 1", (0, 3))])
+    def test_bad_coupling_pair_names_its_line(self, line, pair):
+        with pytest.raises(SpinSystemParseError) as exc:
+            parse_spin_system(ALANINE_SPINS + line + "\n")
+        assert (exc.value.line, exc.value.reason) == (16, f"bad coupling pair {pair}")
+
+    def test_bad_coupling_pair_waits_for_earlier_faults(self):
+        with pytest.raises(SpinSystemParseError, match="missing chemical shift for spin"):
+            parse_spin_system("n 2\nshift 1 0\nj 2 2 5\n")
+        with pytest.raises(SpinSystemParseError, match="incomplete relaxation data"):
+            parse_spin_system("n 2\nshift 1 0\nshift 2 1\nj 1 3 5\nt2 1 -1\n")
+
+    @pytest.mark.parametrize("old,new,line", [
+        ("t2 2 0.41", "t2 2 -0.41", 14), ("t1 3 1.5", "t1 3 0", 12), ("t1 1 20.3", "t1 1 -0.0", 10),
+    ])
+    def test_non_positive_relaxation_names_its_line(self, old, new, line):
+        with pytest.raises(SpinSystemParseError) as exc:
+            parse_spin_system(ALANINE_SPINS.replace(old, new))
+        assert (exc.value.line, exc.value.reason) == (line, f"{new.split()[0]} must be positive in {new!r}")
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"couplings_hz": ((2, 2, 5.0),)}, r"bad coupling pair \(2, 2\)"),
+        ({"couplings_hz": ((1, 4, 3.0),)}, r"bad coupling pair \(1, 4\)"),
+        ({"t1_s": (20.3, 0.0, 1.5)}, "t1 must be positive"),
+        ({"t2_s": (1.3, -0.41, 0.81)}, "t2 must be positive"),
+        ({"t2_s": (1.3, float("nan"), 0.81)}, "t2 must be positive"),
+    ])
+    def test_spin_system_rejects_what_the_parser_rejects(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            replace(ALANINE, **fields)
+
     @pytest.mark.parametrize("old,new", [
         ("shift 1 -4320.0", "shift 1 nan"), ("j 1 3 1.21", "j 1 3 inf"), ("t2 2 0.41", "t2 2 -nan"),
     ])
@@ -552,7 +592,12 @@ class TestLint:
         assert lint_scheme(scheme, ALANINE)
 
     def test_builtin_scheme_clean(self):
-        assert lint_scheme(three_spin_prep_scheme(), ALANINE) == []
+        assert lint_scheme(builtin_prep_scheme(3), ALANINE) == []
+
+    def test_sign_of_j_does_not_hide_a_slow_gate(self):
+        negative = replace(ALANINE, couplings_hz=((1, 2, 34.94), (1, 3, -1.21), (2, 3, -53.81)))
+        scheme = PrepScheme((Experiment((CNot(1, 3), CNot(2, 3))),))
+        assert lint_scheme(scheme, negative) == lint_scheme(scheme, ALANINE) != []
 
     def test_uncoupled_pair(self):
         system = SpinSystem(2, (0.0, 100.0), ())

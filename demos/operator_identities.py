@@ -9,7 +9,6 @@ U_rs depends only on the Hamming distance between r and s, so its column 0
 
 from hoggsat import (
     gamma_matrix,
-    leading_phase_normalized,
     mixing_column,
     parse_formula,
     phase_matrix,
@@ -28,9 +27,10 @@ def show_diag(label, diag):
 
 f = parse_formula("v1 & v2 & v3")
 show_diag("conflict-phase diagonal R  ", phase_matrix(f))
-show_diag("mixing-phase diagonal Gamma", leading_phase_normalized(gamma_matrix(3, 3)))
+gamma = gamma_matrix(3, 3)
+show_diag("mixing-phase diagonal Gamma", gamma / gamma[0])
 print("(Gamma shown after dividing out its leading entry; the raw diagonal")
-print(f" starts at exp(-i*3*pi/4) = {gamma_matrix(3, 3)[0]:.4f})")
+print(f" starts at exp(-i*3*pi/4) = {gamma[0]:.4f})")
 print()
 
 u = mixing_column(3, 3)

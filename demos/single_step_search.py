@@ -7,17 +7,7 @@ entirely on the solutions; an unsatisfied top assignment therefore proves the
 formula insoluble.
 """
 
-import numpy as np
-
-from hoggsat import (
-    assignment_bits,
-    conflict_counts,
-    grover_success_probability,
-    measure_distribution,
-    parse_formula,
-    run_pipeline,
-    solutions,
-)
+from hoggsat import assignment_bits, grover_success_probability, parse_formula, solve
 
 FORMULAS = [
     "v1 & v2 & v3",     # unique solution
@@ -29,13 +19,12 @@ FORMULAS = [
 
 for text in FORMULAS:
     f = parse_formula(text, n=3)
-    probs = measure_distribution(run_pipeline(f))
-    top = int(np.argmax(probs))
-    verdict = "SAT" if conflict_counts(f)[top] == 0 else "UNSAT"
+    report = solve(f)
     print(f"{text:16s} -> ", end="")
-    support = [f"{assignment_bits(a, f.n)}:{p:.3f}" for a, p in enumerate(probs) if p > 1e-9]
-    print(" ".join(support), f" verdict={verdict}")
-    assert verdict == ("SAT" if solutions(f) else "UNSAT")
+    support = [f"{assignment_bits(a, f.n)}:{p:.3f}" for a, p in enumerate(report.probabilities) if p > 1e-9]
+    print(" ".join(support), f" verdict={report.verdict}")
+    # the top assignment is a solution exactly when one exists
+    assert (report.top_conflicts == 0) == (report.solutions.size > 0)
 
 print()
 print("The distribution is uniform over exactly the solution set: each")

@@ -22,21 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .formula import (
-    assignment_bits,
-    check_qubit_count,
-    conflict_counts,
-    parse_formula,
-    reverse_bits,
-    solutions,
-)
-from .hogg import (
-    gamma_matrix,
-    measure_distribution,
-    phase_matrix,
-    run_pipeline,
-    verify_wgw,
-)
+from .formula import assignment_bits, check_qubit_count, parse_formula, reverse_bits, solutions
+from .hogg import gamma_matrix, phase_matrix, solve, verify_wgw
 from .linalg import MAX_DENSE_QUBITS
 from .pulse import (
     NotTensorFactorable,
@@ -121,12 +108,8 @@ def _load_params(args):
 
 def _cmd_solve(args) -> int:
     f = parse_formula(args.formula, n=args.n)
-    psi = run_pipeline(f)
-    probs = measure_distribution(psi)
-    top = int(np.argmax(probs))
-    counts = conflict_counts(f)
-    top_conflicts = int(counts[top])
-    verdict = "SAT" if top_conflicts == 0 else "UNSAT"
+    search = solve(f)
+    probs, top = search.probabilities, search.top
     support = [
         {"assignment": _display_bits(a, f.n, args.bit_order), "probability": float(probs[a])}
         for a in np.flatnonzero(probs > args.tolerance).tolist()
@@ -139,10 +122,9 @@ def _cmd_solve(args) -> int:
         "distribution": support,
         "top_assignment": _display_bits(top, f.n, args.bit_order),
         "top_probability": float(probs[top]),
-        "top_conflicts": top_conflicts,
-        "verdict": verdict,
-        "brute_force_solutions": [_display_bits(a, f.n, args.bit_order)
-                                  for a in np.flatnonzero(counts == 0).tolist()],
+        "top_conflicts": search.top_conflicts,
+        "verdict": search.verdict,
+        "brute_force_solutions": [_display_bits(a, f.n, args.bit_order) for a in search.solutions.tolist()],
     })
     lines = [
         f"formula: {f}   (n={f.n}, m={f.m})",
@@ -151,8 +133,8 @@ def _cmd_solve(args) -> int:
     lines += [f"  {row['assignment']} : {row['probability']:.12f}" for row in support]
     lines += [
         f"top assignment: {report['top_assignment']}   probability {probs[top]:.12f}",
-        f"conflicts of top assignment: {top_conflicts}",
-        f"verdict: {verdict}",
+        f"conflicts of top assignment: {search.top_conflicts}",
+        f"verdict: {search.verdict}",
     ]
     _emit(report, lines, args.json)
     return 0
@@ -165,13 +147,13 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     if args.all:
         if args.n is not None:
-            raise SystemExit("verify: give N and M, or --all, not both")
+            raise ValueError("verify: give N and M, or --all, not both")
         max_n = 6 if args.max_n is None else args.max_n
         if max_n < 1:
-            raise SystemExit(f"verify: --max-n must be at least 1, got {max_n}")
+            raise ValueError(f"verify: --max-n must be at least 1, got {max_n}")
         pairs = [(n, m) for n in range(1, max_n + 1) for m in range(1, n + 1)]
     elif args.m is None or args.max_n is not None:
-        raise SystemExit("verify: give N and M, or --all [--max-n K]")
+        raise ValueError("verify: give N and M, or --all [--max-n K]")
     else:
         pairs = [(args.n, args.m)]
     check_qubit_count(max(n for n, _ in pairs))  # reject a sweep before any pair runs
@@ -270,15 +252,16 @@ def _cmd_compare(args) -> int:
     elif args.ideal_index is not None:
         token = args.ideal_index
         index = int(token, 2) if set(token) <= {"0", "1"} and len(token) == n else int(token)
+        ideal = ideal_population_vector(n, index)  # checks the index as given, in either order
         if args.bit_order == "lsb-v1":
             index = reverse_bits(index, n)
-        ideal = ideal_population_vector(n, index)
+            ideal = ideal_population_vector(n, index)
         ideal_label = f"population on assignment {_display_bits(index, n, args.bit_order)}"
     else:
         f = parse_formula(args.ideal_formula, n=n)
         sols = sorted(solutions(f))
         if len(sols) != 1:
-            raise SystemExit(f"compare: formula {f} has {len(sols)} solutions; "
+            raise ValueError(f"compare: formula {f} has {len(sols)} solutions; "
                              "an ideal population vector needs exactly one")
         index = sols[0] if args.bit_order == "msb-v1" else reverse_bits(sols[0], n)
         ideal = ideal_population_vector(n, index)
@@ -502,14 +485,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # parse and size errors, unreadable files
+    except (ValueError, OSError) as exc:  # usage, parse and size errors, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:  # usage errors raised inside commands
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return 2
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -25,12 +25,15 @@ normalization into the constructors.
 
 U_rs depends only on r XOR s, so U is the XOR-convolution with its column
 0 (`mixing_column`) and W diagonalizes it.  No function here builds a
-2**n x 2**n matrix: `run_pipeline` and `verify_wgw` work on vectors, and
-both reach the formula model's cap n = 16.  The dense W and U live in the
-test suite as references.
+2**n x 2**n matrix: `solve` and `verify_wgw` work on vectors, and both
+reach the formula model's cap n = 16.  The dense W and U live in the test
+suite as references.
 
-`run_pipeline` takes one of two routes, picked by `Formula.distinct_variables`
-(every clause holds one literal and no variable repeats):
+`solve` counts the conflicts of every assignment once, runs the search,
+and checks its most probable assignment against those counts: the verdict
+is SAT exactly when that assignment satisfies f.  The state comes from one
+of two routes, picked by `Formula.distinct_variables` (every clause holds
+one literal and no variable repeats):
 
 * product: under that precondition the final state is an exact product
   state (T. Hogg, PRL 80, 2473 (1998)).  R is i**c for odd m and
@@ -42,12 +45,14 @@ test suite as references.
   `search_factors`, with global phase exactly 1.
   Solutions get identical amplitudes and every other entry is exactly 0.
 * butterfly: for repeated variables and k-literal clauses, every stage is a
-  diagonal or the O(n * 2**n) Walsh-Hadamard butterfly (`walsh_apply`).
+  diagonal or the O(n * 2**n) Walsh-Hadamard butterfly (`walsh_apply`); R
+  is built from the same conflict counts as the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,12 +87,16 @@ def walsh_apply(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_matrix(f: Formula) -> np.ndarray:
-    """Diagonal of the conflict-phase operator R for formula f."""
-    c = conflict_counts(f)
-    if f.m % 2 == 0:
+def _conflict_phases(c: np.ndarray, m: int) -> np.ndarray:
+    """Diagonal of R from the conflict counts c of a formula of m clauses."""
+    if m % 2 == 0:
         return (np.sqrt(2) * np.cos((2 * c - 1) * np.pi / 4)).astype(complex)
     return 1j**c
+
+
+def phase_matrix(f: Formula) -> np.ndarray:
+    """Diagonal of the conflict-phase operator R for formula f."""
+    return _conflict_phases(conflict_counts(f), f.m)
 
 
 def _one_bit_counts(n: int, m: int) -> np.ndarray:
@@ -113,15 +122,6 @@ def mixing_column(n: int, m: int) -> np.ndarray:
     if m % 2 == 0:
         return (2 ** (-(n - 1) / 2) * np.cos((n - m + 1 - 2 * d) * np.pi / 4)).astype(complex)
     return 2 ** (-n / 2) * np.exp(1j * np.pi * (n - m) / 4) * (-1j) ** d
-
-
-def leading_phase_normalized(diag: np.ndarray) -> np.ndarray:
-    """Rescale a unit-modulus diagonal so its first entry equals 1."""
-    diag = np.asarray(diag, dtype=complex)
-    lead = diag[0]
-    if abs(lead) < 1e-300:
-        raise ValueError("leading entry is zero; cannot normalize phase")
-    return diag / lead
 
 
 @dataclass(frozen=True)
@@ -186,10 +186,28 @@ def search_factors(f: Formula) -> np.ndarray:
     return factors
 
 
-def run_pipeline(f: Formula) -> np.ndarray:
-    """Final state U R W |00...0> for formula f, as 2**n amplitudes: from
-    `search_factors` when `f.distinct_variables`, otherwise stage by stage
-    through the butterfly."""
+class SearchReport(NamedTuple):
+    """One run of the search on a formula, checked against brute force.
+
+    `state` is U R W|0...0> as 2**n amplitudes and `probabilities` its
+    distribution; `top` is the most probable assignment (the lowest index
+    among ties) and `top_conflicts` its conflict count.  `verdict` is "SAT"
+    when `top_conflicts` is 0 and "UNSAT" otherwise.  `solutions` holds
+    every zero-conflict assignment, ascending.
+    """
+
+    state: np.ndarray
+    probabilities: np.ndarray
+    top: int
+    top_conflicts: int
+    verdict: str
+    solutions: np.ndarray
+
+
+def solve(f: Formula) -> SearchReport:
+    """Run the search on f, by the product route when `f.distinct_variables`
+    and through the butterfly otherwise, and check it against brute force."""
+    counts = conflict_counts(f)
     if f.distinct_variables:
         # two half-length Kronecker products joined by one outer product;
         # multiplying by the 1s and 0s of the factors is exact
@@ -199,12 +217,20 @@ def run_pipeline(f: Formula) -> np.ndarray:
             left = np.outer(left, row).ravel()
         for row in factors[f.n // 2:]:
             right = np.outer(right, row).ravel()
-        return np.outer(left, right).ravel()
-    psi = np.full(2**f.n, 2 ** (-f.n / 2), dtype=complex)  # W|0...0>
-    psi = phase_matrix(f) * psi
-    psi = walsh_apply(psi)
-    psi = gamma_matrix(f.n, f.m) * psi
-    return walsh_apply(psi)
+        psi = np.outer(left, right).ravel()
+    else:
+        psi = np.full(2**f.n, 2 ** (-f.n / 2), dtype=complex)  # W|0...0>
+        psi = _conflict_phases(counts, f.m) * psi
+        psi = walsh_apply(psi)
+        psi = gamma_matrix(f.n, f.m) * psi
+        psi = walsh_apply(psi)
+    probs = measure_distribution(psi)
+    top = int(np.argmax(probs))
+    top_conflicts = int(counts[top])
+    return SearchReport(
+        state=psi, probabilities=probs, top=top, top_conflicts=top_conflicts,
+        verdict="SAT" if top_conflicts == 0 else "UNSAT", solutions=np.flatnonzero(counts == 0),
+    )
 
 
 def measure_distribution(psi: np.ndarray) -> np.ndarray:

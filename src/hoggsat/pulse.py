@@ -45,6 +45,18 @@ class Pulse:
     def matrix(self) -> np.ndarray:
         return rotation(self.axis, self.angle)
 
+    def unitary(self, n: int) -> np.ndarray:
+        return sequence_to_unitary(PulseSequence((self,)), n)
+
+    def __str__(self) -> str:
+        quarter = self.angle / QUARTER_TURN
+        reps = round(quarter)
+        if abs(quarter - reps) > 1e-9 or reps < 1:
+            raise ValueError(f"pulse angle {self.angle} is not a positive multiple of pi/2")
+        bar = self.axis.startswith("-")
+        token = self.axis.lstrip("-").upper() + ("~" if bar else "") + str(self.spin)
+        return token + (f"^{reps}" if reps > 1 else "")
+
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -59,21 +71,10 @@ class PulseSequence:
         return len(self.pulses)
 
     def to_text(self) -> str:
-        return " ".join(_pulse_token(p) for p in self.pulses)
+        return " ".join(map(str, self.pulses))
 
 
 EMPTY_SEQUENCE = PulseSequence(())
-
-
-def _pulse_token(pulse: Pulse) -> str:
-    quarter = pulse.angle / QUARTER_TURN
-    reps = round(quarter)
-    if abs(quarter - reps) > 1e-9 or reps < 1:
-        raise ValueError(f"pulse angle {pulse.angle} is not a positive multiple of pi/2")
-    axis = pulse.axis
-    bar = axis.startswith("-")
-    token = axis.lstrip("-").upper() + ("~" if bar else "") + str(pulse.spin)
-    return token + (f"^{reps}" if reps > 1 else "")
 
 
 class PulseParseError(ValueError):
@@ -381,7 +382,10 @@ class JDelay:
     def duration_expr(self) -> str:
         return f"1/(2*J{self.spin_a}{self.spin_b})"
 
-    def matrix(self, n: int) -> np.ndarray:
+    def __str__(self) -> str:
+        return f"delay[{self.duration_expr}]"
+
+    def unitary(self, n: int) -> np.ndarray:
         idx = np.arange(2**n)
         a, b = spin_bit(self.spin_a, n), spin_bit(self.spin_b, n)
         sign = np.where(((idx & a) != 0) == ((idx & b) != 0), 1, -1)
@@ -400,21 +404,11 @@ class LoweredProgram:
     elements: tuple[ProgramElement, ...]
 
     def describe(self) -> str:
-        if not self.elements:
-            return "(no operation)"
-        parts = []
-        for element in self.elements:
-            if isinstance(element, JDelay):
-                parts.append(f"delay[{element.duration_expr}]")
-            else:
-                parts.append(_pulse_token(element))
-        return " -> ".join(parts)
+        return " -> ".join(map(str, self.elements)) or "(no operation)"
 
 
 def program_unitary(program: LoweredProgram, n: int) -> np.ndarray:
     out = np.eye(2**n, dtype=complex)
     for element in program.elements:
-        mat = element.matrix(n) if isinstance(element, JDelay) else sequence_to_unitary(
-            PulseSequence((element,)), n)
-        out = mat @ out
+        out = element.unitary(n) @ out
     return out

@@ -91,10 +91,10 @@ class TestSolve:
         assert out.splitlines()[2:4] == ["  10 : 1.000000000000", "top assignment: 10   probability 1.000000000000"]
 
     @pytest.mark.parametrize("text,walsh,counts", [
-        # distinct variables: the product route, and the handler counts conflicts once
-        ("v1 & !v4 & v9 & !v16", [], ["_cmd_solve"]),
+        # distinct variables: the product route; solve counts conflicts once on either route
+        ("v1 & !v4 & v9 & !v16", [], ["solve"]),
         # a repeated variable keeps the butterfly
-        ("v1 & v2 & v1", ["run_pipeline"] * 2, ["phase_matrix", "_cmd_solve"]),
+        ("v1 & v2 & v1", ["solve"] * 2, ["solve"]),
     ])
     def test_route_at_the_formula_cap(self, capsys, monkeypatch, text, walsh, counts):
         walsh_calls = count_calls(monkeypatch, hogg, "walsh_apply")
@@ -329,6 +329,12 @@ class TestCompare:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("token,index", [("9", 9), ("-1", -1), ("0010", 10)])
+    def test_ideal_index_range_is_checked_before_the_bit_order(self, capsys, token, index):
+        for order in ("msb-v1", "lsb-v1"):
+            result = run_cli(capsys, "compare", PREP_CSV, "--ideal-index", token, "--bit-order", order)
+            assert result == (2, "", f"error: basis index {index} out of range for n=3\n")
+
     def test_malformed_csv(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1, 2, three, 4")
@@ -557,6 +563,17 @@ def test_removed_option_is_a_usage_error(capsys, command, option, value):
 ])
 def test_ignored_input_is_a_usage_error(capsys, argv):
     assert exit_code(capsys, *argv) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "3", "3", "--all"), "verify: give N and M, or --all, not both"),
+    (("verify", "--all", "--max-n", "0"), "verify: --max-n must be at least 1, got 0"),
+    (("verify", "3", "3", "--max-n", "9"), "verify: give N and M, or --all [--max-n K]"),
+    (("compare", PREP_CSV, "--ideal-formula", "v1"),
+     "compare: formula v1 has 4 solutions; an ideal population vector needs exactly one"),
+])
+def test_usage_errors_inside_commands_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_every_tolerance_is_read(capsys, tmp_path):

@@ -51,6 +51,11 @@ COMMANDS = (
     # the built-in four-spin scheme and a prep-state spectrum
     ("prep", "4"),
     ("spectrum", "prep", "--spin", "1"),
+    # solve off the product route: a repeated literal (butterfly), a
+    # contradiction (UNSAT) and the lsb-v1 display order
+    ("solve", "v1 & v1 & v1 & v2"),
+    ("solve", "v1 & !v1"),
+    ("solve", "v1 & !v2 & v3", "--bit-order", "lsb-v1"),
 )
 
 # a decimal number: signed after a digit (the imaginary part of ``1-0i``),

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 
 import reference
 from hoggsat import hogg
-from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions
+from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions, spin_bit
 from hoggsat.hogg import (
     WgwReport,
     gamma_matrix,
-    leading_phase_normalized,
     measure_distribution,
     mixing_column,
     phase_matrix,
-    run_pipeline,
     search_factors,
+    solve,
     verify_wgw,
     walsh_apply,
 )
@@ -72,7 +71,7 @@ class TestWalshHadamard:
         # formula model's cap, past linalg.MAX_DENSE_QUBITS
         assert verify_wgw(13, 1).passed
         assert gamma_matrix(16, 3).size == 2**16
-        assert run_pipeline(parse_formula("v16")).size == 2**16
+        assert solve(parse_formula("v16")).state.size == 2**16
 
 
 class TestPhaseMatrix:
@@ -98,8 +97,8 @@ class TestPhaseMatrix:
 
 class TestGammaMatrix:
     def test_normalized_fixture(self):
-        norm = leading_phase_normalized(gamma_matrix(3, 3))
-        assert np.abs(norm - GAMMA_FIXTURE).max() < 1e-12
+        g = gamma_matrix(3, 3)
+        assert np.abs(g / g[0] - GAMMA_FIXTURE).max() < 1e-12
 
     def test_raw_leading_entry(self):
         assert gamma_matrix(3, 3)[0] == pytest.approx(np.exp(-3j * np.pi / 4), abs=1e-14)
@@ -226,20 +225,20 @@ class TestWgwFactorization:
 
 class TestPipeline:
     def test_unique_solution_formula(self):
-        probs = measure_distribution(run_pipeline(parse_formula("v1 & v2 & v3")))
+        probs = solve(parse_formula("v1 & v2 & v3")).probabilities
         assert probs[0b111] == pytest.approx(1.0, abs=1e-12)
         assert probs[:7].max() < 1e-12
 
     def test_single_clause_uniform_over_solutions(self):
         f = parse_formula("v1", n=3)
-        probs = measure_distribution(run_pipeline(f))
+        probs = solve(f).probabilities
         for a in range(8):
             expected = 0.25 if a in solutions(f) else 0.0
             assert probs[a] == pytest.approx(expected, abs=1e-12)
 
     def test_two_clause_half_probability(self):
         f = parse_formula("v1 & v2", n=3)
-        probs = measure_distribution(run_pipeline(f))
+        probs = solve(f).probabilities
         for a in range(8):
             expected = 0.5 if a in solutions(f) else 0.0
             assert probs[a] == pytest.approx(expected, abs=1e-12)
@@ -249,7 +248,7 @@ class TestPipeline:
             for f in one_sat_formulas(n):
                 dense = mixing_matrix(n, f.m) @ (
                     phase_matrix(f) * (walsh_hadamard(n)[:, 0]))
-                assert np.abs(run_pipeline(f) - dense).max() < 1e-12
+                assert np.abs(solve(f).state - dense).max() < 1e-12
 
     def test_stage_normalization(self):
         f = parse_formula("!v1 & v2", n=4)
@@ -267,7 +266,7 @@ class TestPipeline:
                 sols = solutions(f)
                 if not sols:
                     continue
-                probs = measure_distribution(run_pipeline(f))
+                probs = solve(f).probabilities
                 weight = 2.0 ** -(n - f.m)
                 for a in range(2**n):
                     expected = weight if a in sols else 0.0
@@ -275,16 +274,16 @@ class TestPipeline:
 
     def test_insoluble_formula_still_runs(self):
         f = parse_formula("v1 & !v1")
-        probs = measure_distribution(run_pipeline(f))
+        probs = solve(f).probabilities
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_equivariance(self):
         for n in range(1, 5):
             for f in one_sat_formulas(n):
-                base = measure_distribution(run_pipeline(f))
+                base = solve(f).probabilities
                 for k in range(1, n + 1):
                     mask = 1 << (n - k)
-                    flipped = measure_distribution(run_pipeline(negate_variable(f, k)))
+                    flipped = solve(negate_variable(f, k)).probabilities
                     permuted = np.array([base[a ^ mask] for a in range(2**n)])
                     assert np.abs(flipped - permuted).max() < 1e-12
 
@@ -326,7 +325,7 @@ class TestSearchFactors:
 
     def test_formula_cap_solutions_share_one_exact_amplitude(self):
         f = parse_formula("v1 & !v5 & v16", n=16)
-        psi = run_pipeline(f)
+        psi = solve(f).state
         sols = sorted(solutions(f))
         assert set(psi[sols].tolist()) == {2 ** -6.5 + 0j}
         assert np.count_nonzero(psi) == len(sols)
@@ -336,7 +335,7 @@ class TestSearchFactors:
     @given(distinct_variable_formulas(10))
     def test_product_route_matches_dense_reference(self, f):
         # no phase alignment: the global phase is part of the claim
-        assert np.abs(run_pipeline(f) - reference.dense_search_state(f)).max() <= 1e-12
+        assert np.abs(solve(f).state - reference.dense_search_state(f)).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(distinct_variable_formulas(10))
@@ -348,9 +347,44 @@ class TestSearchFactors:
     @settings(max_examples=40, deadline=None)
     @given(butterfly_formulas(6))
     def test_other_formulas_keep_the_butterfly_bit_for_bit(self, f):
-        assert np.array_equal(run_pipeline(f), reference.butterfly_state(f))
+        assert np.array_equal(solve(f).state, reference.butterfly_state(f))
         if all(len(clause.literals) == 1 for clause in f.clauses):
-            assert np.abs(reference.four_term_state(f) - run_pipeline(f)).max() <= 1e-12
+            assert np.abs(reference.four_term_state(f) - solve(f).state).max() <= 1e-12
+
+
+class TestSolve:
+    def test_canonical_formulas_up_to_the_cap(self):
+        # v1 & ... & vm for 1 <= m <= n <= 16: every clause count at every size
+        checked = 0
+        for n in range(1, 17):
+            for m in range(1, n + 1):
+                f = parse_formula(" & ".join(f"v{k}" for k in range(1, m + 1)), n=n)
+                report = solve(f)
+                assert np.abs(report.state - reference.butterfly_state(f)).max() <= 1e-12
+                assert report.solutions.tolist() == list(range(2**n - 2 ** (n - m), 2**n))
+                assert np.flatnonzero(report.probabilities).tolist() == report.solutions.tolist()
+                assert report.probabilities[report.solutions] == pytest.approx(2.0 ** -(n - m), rel=1e-12)
+                assert report.verdict == "SAT"
+                checked += 1
+        assert checked == 136
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_relabeling_permutes_the_state(self, data):
+        # flipping the sign of V_k XORs its bit into every index, and renaming
+        # V_k to V_perm(k) moves its bit; the state moves with the indices
+        n = data.draw(st.integers(1, 7))
+        literals = data.draw(st.lists(st.tuples(st.integers(1, n), st.booleans()), min_size=1, max_size=n + 2))
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        f = Formula(n, tuple(Clause((Literal(v, neg),)) for v, neg in literals))
+        g = Formula(n, tuple(Clause((Literal(perm[v - 1], neg != flips[v - 1]),)) for v, neg in literals))
+        index = np.arange(2**n)
+        moved = np.zeros_like(index)
+        for k in range(1, n + 1):
+            bit = (index & spin_bit(k, n)) != 0
+            moved |= np.where(bit != flips[k - 1], spin_bit(perm[k - 1], n), 0)
+        assert np.abs(solve(g).state[moved] - reference.butterfly_state(f)).max() <= 1e-12
 
 
 class TestMeasureDistribution:
@@ -365,7 +399,7 @@ class TestMeasureDistribution:
         assert probs[7] == pytest.approx(1.0, abs=1e-14)
 
     def test_all_negated_formula_lands_on_zero(self):
-        probs = measure_distribution(run_pipeline(parse_formula("!v1 & !v2 & !v3")))
+        probs = solve(parse_formula("!v1 & !v2 & !v3")).probabilities
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized(self):
@@ -385,5 +419,5 @@ def test_pipeline_normalized_for_general_clauses(n, data):
         lits = tuple(Literal(v, data.draw(st.booleans())) for v in variables)
         clauses.append(Clause(lits))
     f = Formula(n, tuple(clauses))
-    probs = measure_distribution(run_pipeline(f))
+    probs = solve(f).probabilities
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)

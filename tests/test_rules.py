@@ -1,6 +1,7 @@
 """Each package-wide rule has one owner: the bit order (`spin_bit`) and the
-qubit cap (`check_qubit_count`) in `formula`, and the gate types, with their
-index maps and lowering, in `spin_sim`."""
+qubit cap (`check_qubit_count`) in `formula`, the gate types, with their
+index maps and lowering, in `spin_sim`, and the search verdict in
+`hogg.solve`.  Pulse-program elements render and multiply themselves."""
 
 import ast
 import re
@@ -32,16 +33,47 @@ def test_bit_order_shifts_live_only_in_spin_bit():
     assert elsewhere == []
 
 
-def test_gate_types_are_dispatched_only_in_spin_sim():
-    owned, elsewhere = [], []
+def isinstance_checks(types):
+    """`file:line` of each isinstance call in the package that names one of `types`."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
                 names = {getattr(name, "id", getattr(name, "attr", None)) for name in ast.walk(node.args[-1])}
-                if names & {"CNot", "Flip"}:
-                    (owned if path.name == "spin_sim.py" else elsewhere).append(f"{path.name}:{node.lineno}")
-    assert owned, "the guard no longer finds spin_sim's own check"
-    assert elsewhere == []
+                if names & types:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_gate_types_are_dispatched_only_in_spin_sim():
+    found = isinstance_checks({"CNot", "Flip"})
+    assert [at for at in found if at.startswith("spin_sim.py:")], "the guard no longer finds spin_sim's own check"
+    assert [at for at in found if not at.startswith("spin_sim.py:")] == []
+
+
+def test_pulse_program_elements_are_not_dispatched_on():
+    assert isinstance_checks({"Pulse", "JDelay"}) == []
+
+
+def test_verdict_literals_live_only_in_hogg():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value in ("SAT", "UNSAT")]
+    assert [at for at in found if at.startswith("hogg.py:")], "the guard no longer finds solve's verdict"
+    assert [at for at in found if not at.startswith("hogg.py:")] == []
+
+
+def test_cli_leaves_the_search_check_to_solve():
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert "solve" in names, "the guard no longer reads the names in cli"
+    assert names & {"conflict_counts", "measure_distribution", "run_pipeline", "argmax"} == set()
 
 
 def test_pulse_imports_nothing_from_spin_sim():

@@ -52,16 +52,16 @@ class Literal:
 
 @dataclass(frozen=True)
 class Clause:
-    """Disjunction of literals.  1-SAT clauses hold exactly one literal."""
+    """A 1-SAT clause: a tuple of exactly one literal."""
 
     literals: tuple[Literal, ...]
 
     def __post_init__(self):
-        if not self.literals:
-            raise ValueError("clause must contain at least one literal")
+        if len(self.literals) != 1:
+            raise ValueError(f"a clause holds exactly one literal, got {len(self.literals)}")
 
     def __str__(self) -> str:
-        return " | ".join(str(lit) for lit in self.literals)
+        return str(self.literals[0])
 
 
 @dataclass(frozen=True)
@@ -76,23 +76,14 @@ class Formula:
         if not self.clauses:
             raise ValueError("formula must contain at least one clause")
         for clause in self.clauses:
-            for lit in clause.literals:
-                if lit.variable > self.n:
-                    raise ValueError(
-                        f"literal {lit} references a variable beyond n={self.n}"
-                    )
+            (lit,) = clause.literals
+            if lit.variable > self.n:
+                raise ValueError(f"literal {lit} references a variable beyond n={self.n}")
 
     @property
     def m(self) -> int:
         """Clause count."""
         return len(self.clauses)
-
-    @property
-    def distinct_variables(self) -> bool:
-        """True when every clause holds one literal and no variable appears
-        twice: the precondition of the single-step guarantee."""
-        variables = {lit.variable for clause in self.clauses for lit in clause.literals}
-        return len(variables) == self.m == sum(len(clause.literals) for clause in self.clauses)
 
     def __str__(self) -> str:
         return " & ".join(str(c) for c in self.clauses)
@@ -131,7 +122,7 @@ def parse_formula(text: str, n: int | None = None) -> Formula:
             raise FormulaParseError(offset + match.start(2), "variable indices start at 1")
         clauses.append(Clause((Literal(variable, match.group(1) == "!"),)))
         offset += len(part) + 1
-    max_var = max(lit.variable for c in clauses for lit in c.literals)
+    max_var = max(c.literals[0].variable for c in clauses)
     if n is None:
         n = max_var
     elif n < max_var:
@@ -164,11 +155,9 @@ def conflict_counts(f: Formula) -> np.ndarray:
     assignments = np.arange(2**f.n, dtype=np.uint32)
     total = np.zeros(assignments.shape, dtype=np.int64)
     for clause in f.clauses:
-        satisfied = np.zeros(assignments.shape, dtype=bool)
-        for lit in clause.literals:
-            value = (assignments & spin_bit(lit.variable, f.n)) != 0
-            satisfied |= ~value if lit.negated else value
-        total += ~satisfied
+        (lit,) = clause.literals
+        # a literal is violated where its variable's bit equals its negation flag
+        total += ((assignments & spin_bit(lit.variable, f.n)) != 0) == lit.negated
     return total
 
 

@@ -29,24 +29,36 @@ U_rs depends only on r XOR s, so U is the XOR-convolution with its column
 reach the formula model's cap n = 16.  The dense W and U live in the test
 suite as references.
 
-`solve` counts the conflicts of every assignment once, runs the search,
-and checks its most probable assignment against those counts: the verdict
-is SAT exactly when that assignment satisfies f.  The state comes from one
-of two routes, picked by `Formula.distinct_variables` (every clause holds
-one literal and no variable repeats):
+`solve` evaluates f's structure once (T. Hogg, PRL 80, 2473 (1998)).  With
+a_k the clauses `vK` and b_k the clauses `!vK`, an assignment violates
+c = sum_k a_k [s_k = 0] + b_k [s_k = 1] clauses, so r**c (r = +-i) is the
+Kronecker product of diag(r**a_k, r**b_k), and (+-i)**h that of diag(1, +-i):
 
-* product: under that precondition the final state is an exact product
-  state (T. Hogg, PRL 80, 2473 (1998)).  R is i**c for odd m and
-  (e^{-i pi/4} i**c + e^{i pi/4} (-i)**c) / sqrt(2) for even m, and U splits
-  the same way, so U R W|0> is a sum of at most four Kronecker products of
-  per-qubit 2-vectors.  For even m the two cross terms put every
-  constrained qubit on its violating value and cancel; what is left, for
-  either parity of m, is 2**(-(n-m)/2) times the Kronecker product of
-  `search_factors`, with global phase exactly 1.
-  Solutions get identical amplitudes and every other entry is exactly 0.
-* butterfly: for repeated variables and k-literal clauses, every stage is a
-  diagonal or the O(n * 2**n) Walsh-Hadamard butterfly (`walsh_apply`); R
-  is built from the same conflict counts as the verdict.
+    R     = i**c                                                (m odd)
+          = ((1 - i) i**c + (1 + i) (-i)**c) / 2                (m even)
+    Gamma = 2**(-1/2) (1 - i) (-i)**((m-1)/2) i**h              (m odd)
+          = (i**(m/2) (1 - i) (-i)**h + (-i)**(m/2) (1 + i) i**h) / 2   (m even)
+
+With W = 2**(-n/2) Hu^(x)n, Hu = [[1, 1], [1, -1]], U R W|0> is the real
+scale 2**(-(3n + s)/2) times a sum of T Kronecker products: T = 1 and s = 1
+for odd m, T = 4 and s = 2 for even m.  Term t has a Gaussian-integer
+coefficient and the per-qubit rows Hu diag(1, gamma_t) Hu (r_t**a_k,
+r_t**b_k), so the arithmetic is exact until the scale, and an amplitude
+that cancels is an exact 0.
+
+The verdict is SAT exactly when the most probable assignment `top` has no
+conflicts, so SAT is always right.  `top` is the lowest index among ties,
+but for even m the lowest with the fewest conflicts.  Only a repeated
+literal ties a solution with a non-solution; the even-m rule keeps the
+verdicts that the float evaluation of R (`tests/reference.butterfly_state`)
+gets right by rounding: sqrt(2) cos(-pi/4) is 1 + 2**-52, sqrt(2) cos(3 pi/4)
+is -1.  The guarantee, exactly:
+
+* each variable in at most one clause: every solution has the amplitude
+  2**(-(n-m)/2) and every other entry is exactly 0, so `top` is a solution;
+* a pair `vK & !vK`: no solution exists, and UNSAT is right;
+* a repeated same-sign literal can give a false UNSAT (`v1 & v1 & v2`,
+  `v1 & v1 & v1 & v2`): a known fault, pinned by the benchmark's oracle tests.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ from .formula import Formula, check_qubit_count, conflict_counts
 from .linalg import phase_aligned_error
 
 OPERATOR_TOL = 1e-10
+#: i**k at index k: the Gaussian-integer units
+_I_POWERS = np.array([1, 1j, -1, -1j])
 #: Seed of the Gaussian probe vector x on which `verify_wgw` checks W(Wx) = x.
 WALSH_PROBE_SEED = 1977
 
@@ -87,16 +101,12 @@ def walsh_apply(vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conflict_phases(c: np.ndarray, m: int) -> np.ndarray:
-    """Diagonal of R from the conflict counts c of a formula of m clauses."""
-    if m % 2 == 0:
-        return (np.sqrt(2) * np.cos((2 * c - 1) * np.pi / 4)).astype(complex)
-    return 1j**c
-
-
 def phase_matrix(f: Formula) -> np.ndarray:
     """Diagonal of the conflict-phase operator R for formula f."""
-    return _conflict_phases(conflict_counts(f), f.m)
+    c = conflict_counts(f)
+    if f.m % 2 == 0:
+        return (np.sqrt(2) * np.cos((2 * c - 1) * np.pi / 4)).astype(complex)
+    return 1j**c
 
 
 def _one_bit_counts(n: int, m: int) -> np.ndarray:
@@ -170,30 +180,14 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     )
 
 
-def search_factors(f: Formula) -> np.ndarray:
-    """Per-qubit factors of the final state of a distinct-variable formula.
-
-    Row k - 1 belongs to V_k: the basis vector of its satisfying value when a
-    clause constrains it, (1, 1) when it is free.  U R W|0> is
-    2**(-(n-m)/2) times their Kronecker product (see the module docstring).
-    """
-    if not f.distinct_variables:
-        raise ValueError(f"{f} is not a formula of one-literal clauses on distinct variables")
-    factors = np.ones((f.n, 2))
-    for clause in f.clauses:
-        lit = clause.literals[0]
-        factors[lit.variable - 1, int(lit.negated)] = 0.0
-    return factors
-
-
 class SearchReport(NamedTuple):
     """One run of the search on a formula, checked against brute force.
 
     `state` is U R W|0...0> as 2**n amplitudes and `probabilities` its
-    distribution; `top` is the most probable assignment (the lowest index
-    among ties) and `top_conflicts` its conflict count.  `verdict` is "SAT"
-    when `top_conflicts` is 0 and "UNSAT" otherwise.  `solutions` holds
-    every zero-conflict assignment, ascending.
+    distribution; `top` is the most probable assignment (ties as in the
+    module docstring) and `top_conflicts` its conflict count.  `verdict` is
+    "SAT" when `top_conflicts` is 0 and "UNSAT" otherwise.  `solutions`
+    holds every zero-conflict assignment, ascending.
     """
 
     state: np.ndarray
@@ -204,28 +198,46 @@ class SearchReport(NamedTuple):
     solutions: np.ndarray
 
 
+def _kron_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Kronecker product of each term's rows: `out` holds one row per term,
+    `rows` one (terms, 2) array per qubit, most significant first."""
+    for row in rows:
+        out = (out[:, :, None] * row[:, None, :]).reshape(len(out), -1)
+    return out
+
+
 def solve(f: Formula) -> SearchReport:
-    """Run the search on f, by the product route when `f.distinct_variables`
-    and through the butterfly otherwise, and check it against brute force."""
-    counts = conflict_counts(f)
-    if f.distinct_variables:
-        # two half-length Kronecker products joined by one outer product;
-        # multiplying by the 1s and 0s of the factors is exact
-        factors = search_factors(f)
-        left, right = np.array([2 ** (-(f.n - f.m) / 2)], dtype=complex), np.ones(1)
-        for row in factors[: f.n // 2]:
-            left = np.outer(left, row).ravel()
-        for row in factors[f.n // 2:]:
-            right = np.outer(right, row).ravel()
-        psi = np.outer(left, right).ravel()
+    """Run the search on f from its literal counts (see the module
+    docstring) and check it against brute force."""
+    literal_counts = np.zeros((f.n, 2), dtype=np.int64)  # a_k, b_k
+    for clause in f.clauses:
+        (lit,) = clause.literals
+        literal_counts[lit.variable - 1, int(lit.negated)] += 1
+    # the terms as (r_t = sign * i, gamma_t, coefficient); for even m the
+    # coefficient is twice R's coefficient of r**c times Gamma's of gamma**h
+    k = f.m // 2
+    if f.m % 2:
+        terms, s = [(1, 1j, (1 - 1j) * _I_POWERS[3 * k % 4])], 1
     else:
-        psi = np.full(2**f.n, 2 ** (-f.n / 2), dtype=complex)  # W|0...0>
-        psi = _conflict_phases(counts, f.m) * psi
-        psi = walsh_apply(psi)
-        psi = gamma_matrix(f.n, f.m) * psi
-        psi = walsh_apply(psi)
+        terms, s = [(1, -1j, _I_POWERS[(k + 3) % 4]), (1, 1j, _I_POWERS[3 * k % 4]),
+                    (-1, -1j, _I_POWERS[k % 4]), (-1, 1j, _I_POWERS[(3 * k + 1) % 4])], 2
+    signs, gammas, coefs = map(np.array, zip(*terms))
+    v = _I_POWERS[np.multiply.outer(literal_counts.T, signs) % 4]  # r_t**a_k and r_t**b_k, (2, n, T)
+    plus, minus = v[0] + v[1], gammas * (v[0] - v[1])
+    rows = np.stack([plus + minus, plus - minus], axis=-1)  # Hu diag(1, gamma_t) Hu v, (n, T, 2)
+    half = (f.n + 1) // 2
+    # two half-length products joined by one matrix product; the sums and
+    # products of Gaussian integers are exact, and the scale is one rounding
+    left = _kron_rows(coefs[:, None], rows[:half])
+    right = _kron_rows(np.ones((len(coefs), 1)), rows[half:])
+    psi = (left.T @ right).ravel()
+    psi *= 2.0 ** (-(3 * f.n + s) / 2)
+    counts = conflict_counts(f)
     probs = measure_distribution(psi)
     top = int(np.argmax(probs))
+    if f.m % 2 == 0 and counts[top]:
+        tied = np.flatnonzero(probs == probs[top])
+        top = int(tied[np.argmin(counts[tied])])
     top_conflicts = int(counts[top])
     return SearchReport(
         state=psi, probabilities=probs, top=top, top_conflicts=top_conflicts,

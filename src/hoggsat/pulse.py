@@ -74,9 +74,6 @@ class PulseSequence:
         return " ".join(map(str, self.pulses))
 
 
-EMPTY_SEQUENCE = PulseSequence(())
-
-
 class PulseParseError(ValueError):
     """Raised on malformed sequence text; carries the offending position."""
 

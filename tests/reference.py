@@ -51,8 +51,8 @@ def dense_search_state(f):
 
 
 def butterfly_state(f):
-    """W Gamma W R W|0> stage by stage, in the butterfly route's order of
-    operations, so that the route can be held to bit identity."""
+    """W Gamma W R W|0> stage by stage: each stage a diagonal or the
+    Walsh-Hadamard butterfly."""
     psi = np.full(2**f.n, 2 ** (-f.n / 2), dtype=complex)
     psi = walsh_apply(phase_matrix(f) * psi)
     return walsh_apply(gamma_matrix(f.n, f.m) * psi)

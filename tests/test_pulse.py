@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions
+from hoggsat.formula import parse_formula, solutions
 from hoggsat.hogg import gamma_matrix, phase_matrix
 from hoggsat.linalg import AXES, phase_aligned_error
 from hoggsat.pulse import (
-    EMPTY_SEQUENCE,
     NotTensorFactorable,
     Pulse,
     PulseParseError,
@@ -58,7 +57,7 @@ class TestParsing:
         assert parse_pulse_sequence(" X1  Y~2 ") == parse_pulse_sequence("X1Y~2")
 
     def test_empty_text(self):
-        assert parse_pulse_sequence("") == EMPTY_SEQUENCE
+        assert parse_pulse_sequence("") == PulseSequence(())
 
     def test_error_positions(self):
         with pytest.raises(PulseParseError) as exc:
@@ -103,7 +102,7 @@ class TestSequenceUnitary:
         assert abs(abs(phase) - 1) < 1e-12
 
     def test_empty_sequence_is_identity(self):
-        assert np.allclose(sequence_to_unitary(EMPTY_SEQUENCE, 2), np.eye(4), atol=1e-14)
+        assert np.allclose(sequence_to_unitary(PulseSequence(()), 2), np.eye(4), atol=1e-14)
 
     def test_rightmost_pulse_acts_first(self):
         # Z X applied to |0> differs from X Z applied to |0>
@@ -126,7 +125,7 @@ class TestSequenceUnitary:
 
     def test_dense_cap(self):
         with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):
-            sequence_to_unitary(EMPTY_SEQUENCE, 13)
+            sequence_to_unitary(PulseSequence(()), 13)
 
     def test_factors_reach_the_formula_cap(self):
         seq = parse_pulse_sequence("(XY~X)1 Z~8 Y16^3")
@@ -148,7 +147,7 @@ class TestCompileDiagonal:
         assert seq.to_text() == "Z1 Z2 Z3"
 
     def test_identity_diagonal(self):
-        assert compile_diagonal(np.ones(4, dtype=complex)).sequence == EMPTY_SEQUENCE
+        assert compile_diagonal(np.ones(4, dtype=complex)).sequence == PulseSequence(())
 
     def test_round_trip_over_all_odd_one_sat_diagonals(self):
         # odd-m conflict diagonals are products of per-clause i**c factors
@@ -189,11 +188,6 @@ class TestCompileDiagonal:
                 err, _ = phase_aligned_error(sequence_to_unitary(seq, n), np.diag(diag))
                 assert err < 1e-10, str(f)
 
-    def test_entangling_diagonal_rejected(self):
-        f = Formula(2, (Clause((Literal(1), Literal(2))),))  # (v1 | v2)
-        with pytest.raises(NotTensorFactorable):
-            compile_diagonal(phase_matrix(f))
-
     def test_non_unit_modulus_rejected(self):
         with pytest.raises(NotTensorFactorable):
             compile_diagonal(np.array([1.0, 0.5]))
@@ -227,7 +221,7 @@ class TestReduce:
         assert reduce_sequence(seq).pulses == (Pulse(1, "x", np.pi),)
 
     def test_cancels_inverse_pair(self):
-        assert reduce_sequence(parse_pulse_sequence("X1 X~1")) == EMPTY_SEQUENCE
+        assert reduce_sequence(parse_pulse_sequence("X1 X~1")) == PulseSequence(())
 
     def test_commutes_across_spins(self):
         seq = parse_pulse_sequence("X1 Y2 X~1")
@@ -289,7 +283,7 @@ class TestTableVerification:
 
     def test_empty_sequence_is_not_equivalent(self):
         f = parse_formula("v1")
-        report = verify_table_sequence(f, EMPTY_SEQUENCE)
+        report = verify_table_sequence(f, PulseSequence(()))
         assert not report.state_equivalent and not report.full_equivalent
 
     def test_search_unitary_is_unitary(self):

@@ -150,15 +150,28 @@ def reverse_bits(assignment: int, n: int) -> int:
     return out
 
 
-def conflict_counts(f: Formula) -> np.ndarray:
-    """Conflict count for every assignment 0..2**n-1 at once."""
-    assignments = np.arange(2**f.n, dtype=np.uint32)
-    total = np.zeros(assignments.shape, dtype=np.int64)
+def literal_counts(f: Formula) -> np.ndarray:
+    """(n, 2) int64 array whose row k - 1 holds a_k, the number of clauses
+    `vK`, and b_k, the number of clauses `!vK`."""
+    counts = np.zeros((f.n, 2), dtype=np.int64)
     for clause in f.clauses:
         (lit,) = clause.literals
-        # a literal is violated where its variable's bit equals its negation flag
-        total += ((assignments & spin_bit(lit.variable, f.n)) != 0) == lit.negated
-    return total
+        counts[lit.variable - 1, int(lit.negated)] += 1
+    return counts
+
+
+def conflict_counts(f: Formula) -> np.ndarray:
+    """Conflict count for every assignment 0..2**n-1 at once: with the rows
+    (a_k, b_k) of `literal_counts`, c(s) = sum_k a_k [s_k = 0] + b_k [s_k = 1]
+    is their Kronecker sum, built as two half-length sums joined by one outer
+    sum, so it is one int64 pass over the 2**n assignments for any m."""
+    halves = []
+    for rows in np.split(literal_counts(f), [(f.n + 1) // 2]):  # V_1 most significant
+        total = np.zeros(1, dtype=np.int64)
+        for row in rows:
+            total = np.add.outer(total, row).ravel()
+        halves.append(total)
+    return np.add.outer(*halves).ravel()
 
 
 def solutions(f: Formula) -> frozenset[int]:

@@ -29,10 +29,13 @@ U_rs depends only on r XOR s, so U is the XOR-convolution with its column
 reach the formula model's cap n = 16.  The dense W and U live in the test
 suite as references.
 
-`solve` evaluates f's structure once (T. Hogg, PRL 80, 2473 (1998)).  With
-a_k the clauses `vK` and b_k the clauses `!vK`, an assignment violates
-c = sum_k a_k [s_k = 0] + b_k [s_k = 1] clauses, so r**c (r = +-i) is the
-Kronecker product of diag(r**a_k, r**b_k), and (+-i)**h that of diag(1, +-i):
+`solve` evaluates f's structure once (T. Hogg, PRL 80, 2473 (1998)): the
+counts a_k of the clauses `vK` and b_k of the clauses `!vK`
+(`formula.literal_counts`).  An assignment violates
+c = sum_k a_k [s_k = 0] + b_k [s_k = 1] clauses, so the brute-force counts
+(`formula.conflict_counts`) are the Kronecker sum of the rows (a_k, b_k),
+r**c (r = +-i) is the Kronecker product of diag(r**a_k, r**b_k), and
+(+-i)**h that of diag(1, +-i):
 
     R     = i**c                                                (m odd)
           = ((1 - i) i**c + (1 + i) (-i)**c) / 2                (m even)
@@ -68,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formula import Formula, check_qubit_count, conflict_counts
+from .formula import Formula, check_qubit_count, conflict_counts, literal_counts
 from .linalg import phase_aligned_error
 
 OPERATOR_TOL = 1e-10
@@ -103,7 +106,7 @@ def walsh_apply(vec: np.ndarray) -> np.ndarray:
 
 def phase_matrix(f: Formula) -> np.ndarray:
     """Diagonal of the conflict-phase operator R for formula f."""
-    c = conflict_counts(f)
+    c = conflict_counts(f) % 8  # both expressions have period 8 in c
     if f.m % 2 == 0:
         return (np.sqrt(2) * np.cos((2 * c - 1) * np.pi / 4)).astype(complex)
     return 1j**c
@@ -209,10 +212,6 @@ def _kron_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def solve(f: Formula) -> SearchReport:
     """Run the search on f from its literal counts (see the module
     docstring) and check it against brute force."""
-    literal_counts = np.zeros((f.n, 2), dtype=np.int64)  # a_k, b_k
-    for clause in f.clauses:
-        (lit,) = clause.literals
-        literal_counts[lit.variable - 1, int(lit.negated)] += 1
     # the terms as (r_t = sign * i, gamma_t, coefficient); for even m the
     # coefficient is twice R's coefficient of r**c times Gamma's of gamma**h
     k = f.m // 2
@@ -222,7 +221,7 @@ def solve(f: Formula) -> SearchReport:
         terms, s = [(1, -1j, _I_POWERS[(k + 3) % 4]), (1, 1j, _I_POWERS[3 * k % 4]),
                     (-1, -1j, _I_POWERS[k % 4]), (-1, 1j, _I_POWERS[(3 * k + 1) % 4])], 2
     signs, gammas, coefs = map(np.array, zip(*terms))
-    v = _I_POWERS[np.multiply.outer(literal_counts.T, signs) % 4]  # r_t**a_k and r_t**b_k, (2, n, T)
+    v = _I_POWERS[np.multiply.outer(literal_counts(f).T, signs) % 4]  # r_t**a_k and r_t**b_k, (2, n, T)
     plus, minus = v[0] + v[1], gammas * (v[0] - v[1])
     rows = np.stack([plus + minus, plus - minus], axis=-1)  # Hu diag(1, gamma_t) Hu v, (n, T, 2)
     half = (f.n + 1) // 2

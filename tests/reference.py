@@ -7,14 +7,16 @@ per-spin factors; the functions here form the same objects as whole
 2**n x 2**n matrices, the obvious way, so the fast routes can be checked
 against them.  Keep n small.  The search state also has its butterfly
 stages and its four-term Kronecker form here, and the formula helpers that
-only the tests call live here too.
+only the tests call live here too: the clause-by-clause conflict count and
+a hypothesis strategy for one-literal formulas.
 """
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from hoggsat.formula import Clause, Formula, Literal
+from hoggsat.formula import Clause, Formula, Literal, spin_bit
 from hoggsat.hogg import WgwReport, gamma_matrix, mixing_column, phase_matrix, walsh_apply
 from hoggsat.linalg import IDENTITY_2, kron_all, phase_aligned_error, rotation
 from hoggsat.spin_sim import CNot, SpectralLine
@@ -27,6 +29,25 @@ def one_sat_formulas(n):
         for subset in itertools.combinations(range(1, n + 1), m):
             for signs in itertools.product((False, True), repeat=m):
                 yield Formula(n, tuple(Clause((Literal(v, s),)) for v, s in zip(subset, signs)))
+
+
+@st.composite
+def one_literal_formulas(draw, max_n, max_m):
+    """Any formula of one-literal clauses: variables may repeat, in either sign."""
+    n = draw(st.integers(1, max_n))
+    literals = draw(st.lists(st.tuples(st.integers(1, n), st.booleans()), min_size=1, max_size=max_m))
+    return Formula(n, tuple(Clause((Literal(v, neg),)) for v, neg in literals))
+
+
+def conflict_counts_by_clause(f):
+    """Conflict count of every assignment, one pass over all 2**n per clause."""
+    assignments = np.arange(2**f.n, dtype=np.uint32)
+    total = np.zeros(assignments.shape, dtype=np.int64)
+    for clause in f.clauses:
+        (lit,) = clause.literals
+        # a literal is violated where its variable's bit equals its negation flag
+        total += ((assignments & spin_bit(lit.variable, f.n)) != 0) == lit.negated
+    return total
 
 
 def hamming_distance(r, s):

@@ -1,7 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoggsat.formula import (
@@ -12,13 +13,14 @@ from hoggsat.formula import (
     assignment_bits,
     conflict_counts,
     grover_success_probability,
+    literal_counts,
     parse_assignment_bits,
     parse_formula,
     reverse_bits,
     solutions,
     spin_bit,
 )
-from reference import hamming_distance, negate_variable
+from reference import conflict_counts_by_clause, hamming_distance, negate_variable, one_literal_formulas
 
 
 def one_sat(*signed_vars, n=None):
@@ -66,6 +68,18 @@ class TestConflicts:
             one_sat(-2, 4, 2, n=5),
         ]:
             assert list(conflict_counts(f)) == brute_force_conflicts(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_literal_formulas(10, 12))
+    @example(one_sat(1, -16, 8, 9))
+    @example(one_sat(16, 16, -16, 1, -2))
+    @example(one_sat(-3, n=16))
+    def test_kronecker_sum_matches_the_clause_by_clause_oracle(self, f):
+        counts, oracle = conflict_counts(f), conflict_counts_by_clause(f)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, oracle)
+        assert solutions(f) == frozenset(np.flatnonzero(oracle == 0).tolist())
+        assert literal_counts(f).sum() == f.m
 
 
 class TestSolutions:

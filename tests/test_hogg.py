@@ -16,7 +16,14 @@ from hoggsat.hogg import (
     verify_wgw,
     walsh_apply,
 )
-from reference import is_unitary, mixing_matrix, negate_variable, one_sat_formulas, walsh_hadamard
+from reference import (
+    is_unitary,
+    mixing_matrix,
+    negate_variable,
+    one_literal_formulas,
+    one_sat_formulas,
+    walsh_hadamard,
+)
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])
@@ -92,6 +99,13 @@ class TestPhaseMatrix:
     def test_unit_modulus(self):
         for f in one_sat_formulas(4):
             assert np.abs(np.abs(phase_matrix(f)) - 1).max() < 1e-12
+
+    def test_exact_at_large_clause_counts(self):
+        # R has period 8 in the conflict count, so m = 5001 is as exact as m = 1
+        odd = phase_matrix(parse_formula(" & ".join(["v1"] * 5001)))
+        assert set(odd.tolist()) <= {1, -1, 1j, -1j}
+        even = phase_matrix(parse_formula(" & ".join(["v1"] * 5002)))
+        assert np.abs(np.abs(even) - 1).max() <= 2.3e-16
 
 
 class TestGammaMatrix:
@@ -292,14 +306,6 @@ def distinct_variable_formulas(draw, max_n):
     n = draw(st.integers(1, max_n))
     variables = draw(st.permutations(range(1, n + 1)))[:draw(st.integers(1, n))]
     return Formula(n, tuple(Clause((Literal(v, draw(st.booleans())),)) for v in variables))
-
-
-@st.composite
-def one_literal_formulas(draw, max_n, max_m):
-    """Any formula of one-literal clauses: variables may repeat, in either sign."""
-    n = draw(st.integers(1, max_n))
-    literals = draw(st.lists(st.tuples(st.integers(1, n), st.booleans()), min_size=1, max_size=max_m))
-    return Formula(n, tuple(Clause((Literal(v, neg),)) for v, neg in literals))
 
 
 class TestSearchFactors:

@@ -1,7 +1,7 @@
 """Each package-wide rule has one owner: the bit order (`spin_bit`) and the
-qubit cap (`check_qubit_count`) in `formula`, the gate types, with their
-index maps and lowering, in `spin_sim`, and the search verdict in
-`hogg.solve`.  Pulse-program elements render and multiply themselves."""
+qubit cap (`check_qubit_count`) in `formula`, the per-variable literal
+counts in `formula.literal_counts`, the gate types, with their index maps
+and lowering, in `spin_sim`, and the search verdict in `hogg.solve`.  Pulse-program elements render and multiply themselves."""
 
 import ast
 import re
@@ -61,6 +61,21 @@ def test_verdict_literals_live_only_in_hogg():
              if isinstance(node, ast.Constant) and node.value in ("SAT", "UNSAT")]
     assert [at for at in found if at.startswith("hogg.py:")], "the guard no longer finds solve's verdict"
     assert [at for at in found if not at.startswith("hogg.py:")] == []
+
+
+def clause_iterations(path):
+    """Line of each loop or comprehension in `path` that iterates a `.clauses`."""
+    return [node.iter.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.For, ast.comprehension))
+            and any(getattr(inner, "attr", None) == "clauses" for inner in ast.walk(node.iter))]
+
+
+def test_literal_counts_live_only_in_formula():
+    assert clause_iterations(SRC / "formula.py"), "the guard no longer finds literal_counts' own loop"
+    assert clause_iterations(SRC / "hogg.py") == []
+    tree = ast.parse((SRC / "hogg.py").read_text())
+    (solve,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve"]
+    assert "literal_counts" in {getattr(node.func, "id", None) for node in ast.walk(solve) if isinstance(node, ast.Call)}
 
 
 def test_cli_leaves_the_search_check_to_solve():

@@ -60,6 +60,13 @@ COMMANDS = (
     ("solve", "v1 & v1 & v2"),
     ("solve", "v2 & v2 & !v3 & v1", "--n", "4"),
     ("solve", "v1 & v1 & v1 & v2", "--tolerance", "0"),
+    # n = 16 listings whose rows and ties fall in different evaluation
+    # blocks: a repeated literal at m = 16 (SAT) and m = 13 (a false UNSAT),
+    # and distinct variables at m = 14
+    ("solve", "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v13 & v14 & !v15 & v1",
+     "--n", "16"),
+    ("solve", "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v1", "--n", "16"),
+    ("solve", "v1 & !v3 & v4 & !v5 & v6 & v7 & !v8 & v9 & !v10 & v11 & v12 & !v13 & v15 & !v16"),
 )
 
 # a decimal number: signed after a digit (the imaginary part of ``1-0i``),

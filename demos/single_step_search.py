@@ -21,7 +21,8 @@ for text in FORMULAS:
     f = parse_formula(text, n=3)
     report = solve(f)
     print(f"{text:16s} -> ", end="")
-    support = [f"{assignment_bits(a, f.n)}:{p:.3f}" for a, p in enumerate(report.probabilities) if p > 1e-9]
+    support = [f"{assignment_bits(a, f.n)}:{p:.3f}"
+               for a, p in zip(report.support.tolist(), report.support_probabilities.tolist())]
     print(" ".join(support), f" verdict={report.verdict}")
     # the top assignment is a solution exactly when one exists
     assert (report.top_conflicts == 0) == (report.solutions.size > 0)

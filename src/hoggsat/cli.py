@@ -109,10 +109,10 @@ def _load_params(args):
 def _cmd_solve(args) -> int:
     f = parse_formula(args.formula, n=args.n)
     search = solve(f)
-    probs, top = search.probabilities, search.top
+    listed = search.support_probabilities > args.tolerance
     support = [
-        {"assignment": _display_bits(a, f.n, args.bit_order), "probability": float(probs[a])}
-        for a in np.flatnonzero(probs > args.tolerance).tolist()
+        {"assignment": _display_bits(a, f.n, args.bit_order), "probability": p}
+        for a, p in zip(search.support[listed].tolist(), search.support_probabilities[listed].tolist())
     ]
     report = _base_report("solve", args.bit_order)
     report.update({
@@ -120,8 +120,8 @@ def _cmd_solve(args) -> int:
         "n": f.n,
         "m": f.m,
         "distribution": support,
-        "top_assignment": _display_bits(top, f.n, args.bit_order),
-        "top_probability": float(probs[top]),
+        "top_assignment": _display_bits(search.top, f.n, args.bit_order),
+        "top_probability": search.top_probability,
         "top_conflicts": search.top_conflicts,
         "verdict": search.verdict,
         "brute_force_solutions": [_display_bits(a, f.n, args.bit_order) for a in search.solutions.tolist()],
@@ -132,7 +132,7 @@ def _cmd_solve(args) -> int:
     ]
     lines += [f"  {row['assignment']} : {row['probability']:.12f}" for row in support]
     lines += [
-        f"top assignment: {report['top_assignment']}   probability {probs[top]:.12f}",
+        f"top assignment: {report['top_assignment']}   probability {search.top_probability:.12f}",
         f"conflicts of top assignment: {search.top_conflicts}",
         f"verdict: {search.verdict}",
     ]
@@ -397,10 +397,10 @@ def _cmd_spectrum(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _finite_float(text: str) -> float:
+def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if not 0 <= value < np.inf:  # false for nan as well
+        raise argparse.ArgumentTypeError(f"not a finite nonnegative number: {text!r}")
     return value
 
 
@@ -410,7 +410,7 @@ def _command(sub, name: str, func, help: str, *, tolerance: float | None = None,
     p = sub.add_parser(name, help=help, aliases=aliases)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     if tolerance is not None:
-        p.add_argument("--tolerance", type=_finite_float, default=tolerance,
+        p.add_argument("--tolerance", type=_nonnegative_float, default=tolerance,
                        help=f"pass/fail tolerance (default {tolerance:g})")
     if bit_order:
         p.add_argument("--bit-order", choices=("msb-v1", "lsb-v1"), default="msb-v1",
@@ -457,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="basis index (integer or bit string) carrying the ideal population")
     ideal.add_argument("--ideal-formula", default=None,
                        help="single-solution formula defining the ideal population")
-    p.add_argument("--threshold", type=_finite_float, default=None, help="pass/fail bound on the max deviation")
+    p.add_argument("--threshold", type=_nonnegative_float, default=None, help="pass/fail bound on the max deviation")
 
     p = sub.add_parser("pulse", help="pulse-sequence tools")
     psub = p.add_subparsers(dest="pulse_command", required=True)

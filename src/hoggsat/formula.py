@@ -160,18 +160,24 @@ def literal_counts(f: Formula) -> np.ndarray:
     return counts
 
 
-def conflict_counts(f: Formula) -> np.ndarray:
-    """Conflict count for every assignment 0..2**n-1 at once: with the rows
-    (a_k, b_k) of `literal_counts`, c(s) = sum_k a_k [s_k = 0] + b_k [s_k = 1]
-    is their Kronecker sum, built as two half-length sums joined by one outer
-    sum, so it is one int64 pass over the 2**n assignments for any m."""
+def conflict_halves(f: Formula) -> tuple[np.ndarray, np.ndarray]:
+    """The halves (high, low) of the conflict counts c(s) = sum_k a_k [s_k = 0]
+    + b_k [s_k = 1], the Kronecker sum of the rows of `literal_counts`: high
+    sums V_1..V_h, h = ceil(n/2), low the rest, and c(i * low.size + j) is
+    high[i] + low[j]."""
     halves = []
     for rows in np.split(literal_counts(f), [(f.n + 1) // 2]):  # V_1 most significant
         total = np.zeros(1, dtype=np.int64)
         for row in rows:
             total = np.add.outer(total, row).ravel()
         halves.append(total)
-    return np.add.outer(*halves).ravel()
+    return tuple(halves)
+
+
+def conflict_counts(f: Formula) -> np.ndarray:
+    """Conflict count for every assignment 0..2**n-1 at once: the outer sum
+    of `conflict_halves`, one int64 pass over the 2**n assignments for any m."""
+    return np.add.outer(*conflict_halves(f)).ravel()
 
 
 def solutions(f: Formula) -> frozenset[int]:

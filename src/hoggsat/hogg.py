@@ -25,9 +25,9 @@ normalization into the constructors.
 
 U_rs depends only on r XOR s, so U is the XOR-convolution with its column
 0 (`mixing_column`) and W diagonalizes it.  No function here builds a
-2**n x 2**n matrix: `solve` and `verify_wgw` work on vectors, and both
-reach the formula model's cap n = 16.  The dense W and U live in the test
-suite as references.
+2**n x 2**n matrix: `verify_wgw` works on vectors, `solve` on blocks, and
+both reach the formula model's cap n = 16.  The dense W and U and the
+whole final state live in the test suite as references.
 
 `solve` evaluates f's structure once (T. Hogg, PRL 80, 2473 (1998)): the
 counts a_k of the clauses `vK` and b_k of the clauses `!vK`
@@ -47,7 +47,11 @@ scale 2**(-(3n + s)/2) times a sum of T Kronecker products: T = 1 and s = 1
 for odd m, T = 4 and s = 2 for even m.  Term t has a Gaussian-integer
 coefficient and the per-qubit rows Hu diag(1, gamma_t) Hu (r_t**a_k,
 r_t**b_k), so the arithmetic is exact until the scale, and an amplitude
-that cancels is an exact 0.
+that cancels is an exact 0.  `solve` evaluates the matrix product of the
+halves over V_1..V_h and V_h+1..V_n, h = ceil(n/2) (`state_halves`), in
+blocks of `SOLVE_BLOCK` entries and keeps only the nonzero probabilities;
+each amplitude sums at most four products of Gaussian integers below
+2**53, so no block size or order moves a probability or a tie.
 
 The verdict is SAT exactly when the most probable assignment `top` has no
 conflicts, so SAT is always right.  `top` is the lowest index among ties,
@@ -71,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formula import Formula, check_qubit_count, conflict_counts, literal_counts
+from .formula import Formula, check_qubit_count, conflict_counts, conflict_halves, literal_counts
 from .linalg import phase_aligned_error
 
 OPERATOR_TOL = 1e-10
@@ -79,6 +83,9 @@ OPERATOR_TOL = 1e-10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 #: Seed of the Gaussian probe vector x on which `verify_wgw` checks W(Wx) = x.
 WALSH_PROBE_SEED = 1977
+#: Entries of U R W|0> that `solve` evaluates at once, as measured at n = 16:
+#: 1024 pay for the loop, and from 16384 on each call faults in fresh pages.
+SOLVE_BLOCK = 4096
 
 
 def walsh_apply(vec: np.ndarray) -> np.ndarray:
@@ -186,16 +193,18 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
 class SearchReport(NamedTuple):
     """One run of the search on a formula, checked against brute force.
 
-    `state` is U R W|0...0> as 2**n amplitudes and `probabilities` its
-    distribution; `top` is the most probable assignment (ties as in the
-    module docstring) and `top_conflicts` its conflict count.  `verdict` is
-    "SAT" when `top_conflicts` is 0 and "UNSAT" otherwise.  `solutions`
-    holds every zero-conflict assignment, ascending.
+    `support` lists, ascending, every assignment of nonzero probability in
+    U R W|0...0> and `support_probabilities` their probabilities; `top` is
+    the most probable assignment (ties as in the module docstring), with
+    `top_probability` and `top_conflicts`.  `verdict` is "SAT" when
+    `top_conflicts` is 0 and "UNSAT" otherwise.  `solutions` holds every
+    zero-conflict assignment, ascending.
     """
 
-    state: np.ndarray
-    probabilities: np.ndarray
+    support: np.ndarray
+    support_probabilities: np.ndarray
     top: int
+    top_probability: float
     top_conflicts: int
     verdict: str
     solutions: np.ndarray
@@ -209,9 +218,9 @@ def _kron_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(f: Formula) -> SearchReport:
-    """Run the search on f from its literal counts (see the module
-    docstring) and check it against brute force."""
+def state_halves(f: Formula) -> tuple[np.ndarray, np.ndarray, float]:
+    """U R W|0> = scale * (left.T @ right).ravel() for f: per term, left holds
+    the coefficient times the row over V_1..V_h, right the row over the rest."""
     # the terms as (r_t = sign * i, gamma_t, coefficient); for even m the
     # coefficient is twice R's coefficient of r**c times Gamma's of gamma**h
     k = f.m // 2
@@ -225,22 +234,37 @@ def solve(f: Formula) -> SearchReport:
     plus, minus = v[0] + v[1], gammas * (v[0] - v[1])
     rows = np.stack([plus + minus, plus - minus], axis=-1)  # Hu diag(1, gamma_t) Hu v, (n, T, 2)
     half = (f.n + 1) // 2
-    # two half-length products joined by one matrix product; the sums and
-    # products of Gaussian integers are exact, and the scale is one rounding
     left = _kron_rows(coefs[:, None], rows[:half])
     right = _kron_rows(np.ones((len(coefs), 1)), rows[half:])
-    psi = (left.T @ right).ravel()
-    psi *= 2.0 ** (-(3 * f.n + s) / 2)
-    counts = conflict_counts(f)
-    probs = measure_distribution(psi)
-    top = int(np.argmax(probs))
-    if f.m % 2 == 0 and counts[top]:
-        tied = np.flatnonzero(probs == probs[top])
-        top = int(tied[np.argmin(counts[tied])])
-    top_conflicts = int(counts[top])
+    return left, right, 2.0 ** (-(3 * f.n + s) / 2)
+
+
+def solve(f: Formula) -> SearchReport:
+    """Run the search on f from its literal counts (see the module
+    docstring) and check it against brute force, holding no 2**n array."""
+    left, right, scale = state_halves(f)
+    width = right.shape[1]
+    rows = SOLVE_BLOCK // width
+    support, probabilities = [], []
+    for start in range(0, left.shape[1], rows):
+        psi = left[:, start:start + rows].T @ right
+        psi *= scale
+        probs = (np.abs(psi) ** 2).ravel()
+        nonzero = np.flatnonzero(probs)
+        support.append(nonzero + start * width)
+        probabilities.append(probs[nonzero])
+    support, probabilities = np.concatenate(support), np.concatenate(probabilities)
+    high, low = conflict_halves(f)
+    best = probabilities.max()
+    tied = support[probabilities == best]
+    counts = high[tied // width] + low[tied % width]
+    pick = int(np.argmin(counts)) if f.m % 2 == 0 else 0
+    top, top_conflicts = int(tied[pick]), int(counts[pick])
+    # the counts are nonnegative, so c = 0 exactly where both halves are 0
+    solutions = (np.flatnonzero(high == 0)[:, None] * width + np.flatnonzero(low == 0)).ravel()
     return SearchReport(
-        state=psi, probabilities=probs, top=top, top_conflicts=top_conflicts,
-        verdict="SAT" if top_conflicts == 0 else "UNSAT", solutions=np.flatnonzero(counts == 0),
+        support=support, support_probabilities=probabilities, top=top, top_probability=float(best),
+        top_conflicts=top_conflicts, verdict="SAT" if top_conflicts == 0 else "UNSAT", solutions=solutions,
     )
 
 

@@ -6,18 +6,28 @@ z-product terms off the populations and builds single-spin operators as
 per-spin factors; the functions here form the same objects as whole
 2**n x 2**n matrices, the obvious way, so the fast routes can be checked
 against them.  Keep n small.  The search state also has its butterfly
-stages and its four-term Kronecker form here, and the formula helpers that
-only the tests call live here too: the clause-by-clause conflict count and
-a hypothesis strategy for one-literal formulas.
+stages and its four-term Kronecker form here, the whole search as 2**n
+vectors (`dense_solve`), and the formula helpers that only the tests call:
+the clause-by-clause conflict count and a hypothesis strategy for
+one-literal formulas.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from hoggsat.formula import Clause, Formula, Literal, spin_bit
-from hoggsat.hogg import WgwReport, gamma_matrix, mixing_column, phase_matrix, walsh_apply
+from hoggsat.hogg import (
+    WgwReport,
+    gamma_matrix,
+    measure_distribution,
+    mixing_column,
+    phase_matrix,
+    state_halves,
+    walsh_apply,
+)
 from hoggsat.linalg import IDENTITY_2, kron_all, phase_aligned_error, rotation
 from hoggsat.spin_sim import CNot, SpectralLine
 
@@ -69,6 +79,48 @@ def negate_variable(f, variable):
 def dense_search_state(f):
     """U R W|0> with the dense U: mixing_matrix @ (phase_matrix * W[:, 0])."""
     return mixing_matrix(f.n, f.m) @ (phase_matrix(f) * walsh_hadamard(f.n)[:, 0])
+
+
+class DenseSearch(NamedTuple):
+    """`dense_solve`'s result: the fields of `hogg.SearchReport` that a
+    2**n vector holds, and the vectors themselves."""
+
+    state: np.ndarray
+    probabilities: np.ndarray
+    top: int
+    top_probability: float
+    top_conflicts: int
+    verdict: str
+    solutions: np.ndarray
+
+
+def dense_solve(f):
+    """The search on f over whole 2**n vectors: the product of
+    `hogg.state_halves` in one piece, its distribution, the clause-by-clause
+    conflict counts, and the tie rule of the `hogg` module docstring."""
+    left, right, scale = state_halves(f)
+    psi = (left.T @ right).ravel()
+    psi *= scale
+    counts = conflict_counts_by_clause(f)
+    probs = measure_distribution(psi)
+    top = int(np.argmax(probs))
+    if f.m % 2 == 0 and counts[top]:
+        tied = np.flatnonzero(probs == probs[top])
+        top = int(tied[np.argmin(counts[tied])])
+    top_conflicts = int(counts[top])
+    return DenseSearch(
+        state=psi, probabilities=probs, top=top, top_probability=float(probs[top]),
+        top_conflicts=top_conflicts, verdict="SAT" if top_conflicts == 0 else "UNSAT",
+        solutions=np.flatnonzero(counts == 0),
+    )
+
+
+def listed_distribution(report, n):
+    """The 2**n probabilities of a `hogg.SearchReport`: its listed support,
+    and 0 everywhere else."""
+    probs = np.zeros(2**n)
+    probs[report.support] = report.support_probabilities
+    return probs
 
 
 def butterfly_state(f):

@@ -38,7 +38,14 @@ from hoggsat.spin_sim import (
     target_pseudo_pure,
     z_product_decomposition,
 )
-from reference import is_unitary, mixing_matrix, negate_variable, one_sat_formulas, walsh_hadamard
+from reference import (
+    is_unitary,
+    listed_distribution,
+    mixing_matrix,
+    negate_variable,
+    one_sat_formulas,
+    walsh_hadamard,
+)
 
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
 GAMMA_FIXTURE = np.array([1, 1j, 1j, -1, 1j, -1, -1, -1j])
@@ -76,7 +83,7 @@ def test_criterion_01_three_clause_table_reproduction():
         if f.m != 3:
             continue
         (expected,) = row.solution_assignments()
-        probs = solve(f).probabilities
+        probs = listed_distribution(solve(f), f.n)
         worst = max(worst, abs(probs[expected] - 1.0))
         others = np.delete(probs, expected)
         worst = max(worst, float(others.max()))
@@ -95,7 +102,7 @@ def test_criterion_02_single_clause_table_reproduction():
             continue
         expected = row.solution_assignments()
         assert expected == solutions(f)
-        probs = solve(f).probabilities
+        probs = listed_distribution(solve(f), f.n)
         for a in range(8):
             target = 0.25 if a in expected else 0.0
             worst = max(worst, abs(probs[a] - target))
@@ -136,7 +143,7 @@ def test_criterion_05_one_sat_completeness():
             sols = solutions(f)
             if not sols:
                 continue
-            probs = solve(f).probabilities
+            probs = listed_distribution(solve(f), f.n)
             weight = 2.0 ** -(n - f.m)
             total = sum(probs[a] for a in sols)
             worst = max(worst, abs(total - 1.0))
@@ -253,10 +260,10 @@ def test_criterion_10_property_suites():
     equivariance_ok = True
     for n in range(1, 5):
         for f in one_sat_formulas(n):
-            base = solve(f).probabilities
+            base = listed_distribution(solve(f), n)
             for k in range(1, n + 1):
                 mask = 1 << (n - k)
-                flipped = solve(negate_variable(f, k)).probabilities
+                flipped = listed_distribution(solve(negate_variable(f, k)), n)
                 permuted = np.array([base[a ^ mask] for a in range(2**n)])
                 equivariance_ok &= bool(np.abs(flipped - permuted).max() <= 1e-10)
 

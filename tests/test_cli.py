@@ -91,18 +91,20 @@ class TestSolve:
         assert out.splitlines()[2:4] == ["  10 : 1.000000000000", "top assignment: 10   probability 1.000000000000"]
 
     @pytest.mark.parametrize("text,walsh,counts", [
-        # one route for distinct and repeated variables: no butterfly, and
-        # the conflicts counted once
-        ("v1 & !v4 & v9 & !v16", [], ["solve"]),
-        ("v1 & v2 & v1", [], ["solve"]),
+        # one route for distinct and repeated variables: no butterfly, no
+        # 2**n conflict vector, and the two halves of the counts built once
+        ("v1 & !v4 & v9 & !v16", [], []),
+        ("v1 & v2 & v1", [], []),
     ])
     def test_route_at_the_formula_cap(self, capsys, monkeypatch, text, walsh, counts):
         walsh_calls = count_calls(monkeypatch, hogg, "walsh_apply")
         conflict_calls = count_calls(monkeypatch, formula, "conflict_counts")
+        half_calls = count_calls(monkeypatch, formula, "conflict_halves")
         code, _, _ = run_cli(capsys, "solve", text, "--n", "16")
         assert code == 0
         assert walsh_calls == walsh
         assert conflict_calls == counts
+        assert half_calls == ["solve"]
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "solve", "!v1 & v3", "--json")
@@ -686,5 +688,12 @@ def test_non_finite_input_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "spectrum", "thermal", "--spin", "1", "--params", str(spins), "--json")
     assert (code, out, err) == (2, "", "error: line 4: malformed value in 'shift 1 nan'\n")
     for argv in (("prep", "3", "--tolerance", "nan"), ("solve", "v1", "--tolerance", "inf"),
-                 ("compare", PREP_CSV, "--ideal-index", "000", "--threshold", "nan")):
+                 ("compare", PREP_CSV, "--ideal-index", "000", "--threshold", "nan"),
+                 ("solve", "v1", "--n", "2", "--tolerance", "-1"), ("verify", "3", "3", "--tolerance", "-1"),
+                 ("prep", "3", "--tolerance", "-1e-300"), ("pulse", "verify", "v1", "X1^2", "--tolerance", "-1"),
+                 ("compare", PREP_CSV, "--ideal-index", "000", "--threshold", "-0.5")):
         assert exit_code(capsys, *argv, "--json") == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "3", "3", "--tolerance", "-1"])
+    assert exc.value.code == 2
+    assert "argument --tolerance: not a finite nonnegative number: '-1'" in capsys.readouterr().err

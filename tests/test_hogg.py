@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from hoggsat.hogg import (
     walsh_apply,
 )
 from reference import (
+    dense_solve,
     is_unitary,
+    listed_distribution,
     mixing_matrix,
     negate_variable,
     one_literal_formulas,
@@ -77,7 +81,7 @@ class TestWalshHadamard:
         # formula model's cap, past linalg.MAX_DENSE_QUBITS
         assert verify_wgw(13, 1).passed
         assert gamma_matrix(16, 3).size == 2**16
-        assert solve(parse_formula("v16")).state.size == 2**16
+        assert solve(parse_formula("v16")).support.size == 2**15
 
 
 class TestPhaseMatrix:
@@ -238,20 +242,20 @@ class TestWgwFactorization:
 
 class TestPipeline:
     def test_unique_solution_formula(self):
-        probs = solve(parse_formula("v1 & v2 & v3")).probabilities
+        probs = listed_distribution(solve(parse_formula("v1 & v2 & v3")), 3)
         assert probs[0b111] == pytest.approx(1.0, abs=1e-12)
         assert probs[:7].max() < 1e-12
 
     def test_single_clause_uniform_over_solutions(self):
         f = parse_formula("v1", n=3)
-        probs = solve(f).probabilities
+        probs = listed_distribution(solve(f), 3)
         for a in range(8):
             expected = 0.25 if a in solutions(f) else 0.0
             assert probs[a] == pytest.approx(expected, abs=1e-12)
 
     def test_two_clause_half_probability(self):
         f = parse_formula("v1 & v2", n=3)
-        probs = solve(f).probabilities
+        probs = listed_distribution(solve(f), 3)
         for a in range(8):
             expected = 0.5 if a in solutions(f) else 0.0
             assert probs[a] == pytest.approx(expected, abs=1e-12)
@@ -261,7 +265,7 @@ class TestPipeline:
             for f in one_sat_formulas(n):
                 dense = mixing_matrix(n, f.m) @ (
                     phase_matrix(f) * (walsh_hadamard(n)[:, 0]))
-                assert np.abs(solve(f).state - dense).max() < 1e-12
+                assert np.abs(dense_solve(f).state - dense).max() < 1e-12
 
     def test_stage_normalization(self):
         f = parse_formula("!v1 & v2", n=4)
@@ -279,7 +283,7 @@ class TestPipeline:
                 sols = solutions(f)
                 if not sols:
                     continue
-                probs = solve(f).probabilities
+                probs = listed_distribution(solve(f), n)
                 weight = 2.0 ** -(n - f.m)
                 for a in range(2**n):
                     expected = weight if a in sols else 0.0
@@ -287,16 +291,16 @@ class TestPipeline:
 
     def test_insoluble_formula_still_runs(self):
         f = parse_formula("v1 & !v1")
-        probs = solve(f).probabilities
+        probs = solve(f).support_probabilities
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_equivariance(self):
         for n in range(1, 5):
             for f in one_sat_formulas(n):
-                base = solve(f).probabilities
+                base = listed_distribution(solve(f), n)
                 for k in range(1, n + 1):
                     mask = 1 << (n - k)
-                    flipped = solve(negate_variable(f, k)).probabilities
+                    flipped = listed_distribution(solve(negate_variable(f, k)), n)
                     permuted = np.array([base[a ^ mask] for a in range(2**n)])
                     assert np.abs(flipped - permuted).max() < 1e-12
 
@@ -311,17 +315,20 @@ def distinct_variable_formulas(draw, max_n):
 class TestSearchFactors:
     def test_formula_cap_solutions_share_one_exact_amplitude(self):
         f = parse_formula("v1 & !v5 & v16", n=16)
-        psi = solve(f).state
+        psi = dense_solve(f).state
         sols = sorted(solutions(f))
         assert set(psi[sols].tolist()) == {2 ** -6.5 + 0j}
         assert np.count_nonzero(psi) == len(sols)
         assert int(np.argmax(measure_distribution(psi))) == sols[0]
+        report = solve(f)
+        assert report.support.tolist() == sols and report.top == sols[0]
+        assert set(report.support_probabilities.tolist()) == {(2 ** -6.5) ** 2}
 
     @settings(max_examples=30, deadline=None)
     @given(distinct_variable_formulas(10))
     def test_product_route_matches_dense_reference(self, f):
         # no phase alignment: the global phase is part of the claim
-        assert np.abs(solve(f).state - reference.dense_search_state(f)).max() <= 1e-12
+        assert np.abs(dense_solve(f).state - reference.dense_search_state(f)).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(distinct_variable_formulas(10))
@@ -334,7 +341,7 @@ class TestSearchFactors:
     @given(one_literal_formulas(10, 12))
     def test_every_formula_matches_the_butterfly(self, f):
         # no phase alignment, and an amplitude that cancels is an exact 0
-        state, butterfly = solve(f).state, reference.butterfly_state(f)
+        state, butterfly = dense_solve(f).state, reference.butterfly_state(f)
         assert np.abs(state - butterfly).max() <= 1e-12
         assert np.all(state[np.abs(butterfly) < 1e-9] == 0)
         assert np.abs(reference.four_term_state(f) - state).max() <= 1e-12
@@ -348,10 +355,10 @@ class TestSolve:
             for m in range(1, n + 1):
                 f = parse_formula(" & ".join(f"v{k}" for k in range(1, m + 1)), n=n)
                 report = solve(f)
-                assert np.abs(report.state - reference.butterfly_state(f)).max() <= 1e-12
+                assert np.abs(dense_solve(f).state - reference.butterfly_state(f)).max() <= 1e-12
                 assert report.solutions.tolist() == list(range(2**n - 2 ** (n - m), 2**n))
-                assert np.flatnonzero(report.probabilities).tolist() == report.solutions.tolist()
-                assert report.probabilities[report.solutions] == pytest.approx(2.0 ** -(n - m), rel=1e-12)
+                assert report.support.tolist() == report.solutions.tolist()
+                assert report.support_probabilities == pytest.approx(2.0 ** -(n - m), rel=1e-12)
                 assert report.verdict == "SAT"
                 checked += 1
         assert checked == 136
@@ -365,7 +372,7 @@ class TestSolve:
     ])
     def test_tied_top_assignments(self, text, top, verdict):
         report = solve(parse_formula(text))
-        assert report.probabilities[report.top] == report.probabilities.max()
+        assert report.top_probability == report.support_probabilities.max()
         assert (report.top, report.verdict) == (top, verdict)
 
     @settings(max_examples=300, deadline=None)
@@ -384,7 +391,49 @@ class TestSolve:
         for k in range(1, n + 1):
             bit = (index & spin_bit(k, n)) != 0
             moved |= np.where(bit != flips[k - 1], spin_bit(perm[k - 1], n), 0)
-        assert np.abs(solve(g).state[moved] - reference.butterfly_state(f)).max() <= 1e-12
+        assert np.abs(dense_solve(g).state[moved] - reference.butterfly_state(f)).max() <= 1e-12
+
+
+def assert_matches_the_dense_oracle(f):
+    """`solve`'s listing and verdict equal, bit for bit, those read off the
+    whole 2**n distribution."""
+    report, dense = solve(f), dense_solve(f)
+    p = dense.probabilities
+    assert np.array_equal(report.support, np.flatnonzero(p > 0))
+    assert np.array_equal(report.support_probabilities, p[report.support])
+    assert (report.top, report.top_probability, report.top_conflicts, report.verdict) == (
+        dense.top, dense.top_probability, dense.top_conflicts, dense.verdict)
+    assert np.array_equal(report.solutions, dense.solutions)
+
+
+class TestBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(one_literal_formulas(10, 12))
+    def test_listing_matches_the_dense_oracle(self, f):
+        assert_matches_the_dense_oracle(f)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("pattern", ["v1 & v1", "v1 & v1 & v{n}", "v1 & v1 & !v{h} & v{n}"])
+    def test_ties_across_blocks_match_the_dense_oracle(self, n, pattern):
+        # v1 is the most significant bit, so at n = 16 its two values lie
+        # in different blocks and every tie between them crosses one
+        assert_matches_the_dense_oracle(parse_formula(pattern.format(n=n, h=(n + 1) // 2), n=n))
+
+    @pytest.mark.parametrize("text", [
+        "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v1",
+        "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v13 & v14 & !v15 & v1",
+        "v1 & !v3 & v5 & !v7 & v9 & !v11 & v13 & !v15",
+    ])
+    def test_formula_cap_holds_no_state_vector(self, text):
+        f = parse_formula(text, n=16)
+        solve(f)  # first-call set-up is not the search's
+        tracemalloc.start()
+        try:
+            solve(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**16  # one 2**16 float64 vector
 
 
 class TestMeasureDistribution:
@@ -399,7 +448,7 @@ class TestMeasureDistribution:
         assert probs[7] == pytest.approx(1.0, abs=1e-14)
 
     def test_all_negated_formula_lands_on_zero(self):
-        probs = solve(parse_formula("!v1 & !v2 & !v3")).probabilities
+        probs = listed_distribution(solve(parse_formula("!v1 & !v2 & !v3")), 3)
         assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized(self):

@@ -70,12 +70,19 @@ def clause_iterations(path):
             and any(getattr(inner, "attr", None) == "clauses" for inner in ast.walk(node.iter))]
 
 
+def called_names(tree, function):
+    """Names called in the body of the top-level function `function`."""
+    (node,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {getattr(call.func, "id", None) for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
 def test_literal_counts_live_only_in_formula():
     assert clause_iterations(SRC / "formula.py"), "the guard no longer finds literal_counts' own loop"
     assert clause_iterations(SRC / "hogg.py") == []
     tree = ast.parse((SRC / "hogg.py").read_text())
-    (solve,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve"]
-    assert "literal_counts" in {getattr(node.func, "id", None) for node in ast.walk(solve) if isinstance(node, ast.Call)}
+    # solve reads the state and the conflicts through literal_counts
+    assert {"state_halves", "conflict_halves"} <= called_names(tree, "solve")
+    assert "literal_counts" in called_names(tree, "state_halves")
 
 
 def test_cli_leaves_the_search_check_to_solve():

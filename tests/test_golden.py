@@ -67,6 +67,9 @@ COMMANDS = (
      "--n", "16"),
     ("solve", "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v1", "--n", "16"),
     ("solve", "v1 & !v3 & v4 & !v5 & v6 & v7 & !v8 & v9 & !v10 & v11 & v12 & !v13 & v15 & !v16"),
+    # an empty listing, and a 256-row lsb-v1 listing at n = 16
+    ("solve", "v1 & v2", "--tolerance", "1"),
+    ("solve", "v1 & !v3 & v5 & !v7 & v9 & !v11 & v13 & !v15", "--n", "16", "--bit-order", "lsb-v1"),
 )
 
 # a decimal number: signed after a digit (the imaginary part of ``1-0i``),

@@ -7,7 +7,7 @@ entirely on the solutions; an unsatisfied top assignment therefore proves the
 formula insoluble.
 """
 
-from hoggsat import assignment_bits, grover_success_probability, parse_formula, solve
+from hoggsat import assignment_bit_strings, grover_success_probability, parse_formula, solve
 
 FORMULAS = [
     "v1 & v2 & v3",     # unique solution
@@ -21,8 +21,8 @@ for text in FORMULAS:
     f = parse_formula(text, n=3)
     report = solve(f)
     print(f"{text:16s} -> ", end="")
-    support = [f"{assignment_bits(a, f.n)}:{p:.3f}"
-               for a, p in zip(report.support.tolist(), report.support_probabilities.tolist())]
+    support = [f"{bits}:{p:.3f}" for bits, p in
+               zip(assignment_bit_strings(report.support, f.n), report.support_probabilities.tolist())]
     print(" ".join(support), f" verdict={report.verdict}")
     # the top assignment is a solution exactly when one exists
     assert (report.top_conflicts == 0) == (report.solutions.size > 0)

@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .formula import assignment_bits, check_qubit_count, parse_formula, reverse_bits, solutions
+from .formula import (
+    assignment_bit_strings,
+    assignment_bits,
+    check_qubit_count,
+    parse_formula,
+    reverse_bits,
+    solutions,
+)
 from .hogg import gamma_matrix, phase_matrix, solve, verify_wgw
 from .linalg import MAX_DENSE_QUBITS
 from .pulse import (
@@ -74,9 +81,21 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(report: dict) -> str:
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _with_list(text: str, key: str, items: list[str]) -> str:
+    """`text`, a report from `_json_text` holding [] at its top-level `key`,
+    with that list holding `items`, the JSON texts of its elements at indent 4."""
+    if not items:
+        return text
+    return text.replace(f'\n  "{key}": []', f'\n  "{key}": [\n' + ",\n".join(items) + "\n  ]", 1)
+
+
 def _emit(report: dict, lines: list[str], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False))
+        print(_json_text(report))
     else:
         for line in lines:
             print(line)
@@ -109,34 +128,42 @@ def _load_params(args):
 def _cmd_solve(args) -> int:
     f = parse_formula(args.formula, n=args.n)
     search = solve(f)
+    reverse = args.bit_order == "lsb-v1"
     listed = search.support_probabilities > args.tolerance
-    support = [
-        {"assignment": _display_bits(a, f.n, args.bit_order), "probability": p}
-        for a, p in zip(search.support[listed].tolist(), search.support_probabilities[listed].tolist())
-    ]
+    bits = assignment_bit_strings(search.support[listed], f.n, reverse)
+    # a listing holds few distinct probabilities: each is formatted once
+    values, which = np.unique(search.support_probabilities[listed], return_inverse=True)
+    which = which.tolist()
+    top = _display_bits(search.top, f.n, args.bit_order)
+    if not args.json:
+        probs = [f"{p:.12f}" for p in values.tolist()]
+        print("\n".join([
+            f"formula: {f}   (n={f.n}, m={f.m})",
+            "distribution (assignment : probability):",
+            *(f"  {b} : {probs[k]}" for b, k in zip(bits, which)),
+            f"top assignment: {top}   probability {search.top_probability:.12f}",
+            f"conflicts of top assignment: {search.top_conflicts}",
+            f"verdict: {search.verdict}",
+        ]))
+        return 0
     report = _base_report("solve", args.bit_order)
     report.update({
         "formula": str(f),
         "n": f.n,
         "m": f.m,
-        "distribution": support,
-        "top_assignment": _display_bits(search.top, f.n, args.bit_order),
+        "distribution": [],
+        "top_assignment": top,
         "top_probability": search.top_probability,
         "top_conflicts": search.top_conflicts,
         "verdict": search.verdict,
-        "brute_force_solutions": [_display_bits(a, f.n, args.bit_order) for a in search.solutions.tolist()],
+        "brute_force_solutions": [],
     })
-    lines = [
-        f"formula: {f}   (n={f.n}, m={f.m})",
-        "distribution (assignment : probability):",
-    ]
-    lines += [f"  {row['assignment']} : {row['probability']:.12f}" for row in support]
-    lines += [
-        f"top assignment: {report['top_assignment']}   probability {search.top_probability:.12f}",
-        f"conflicts of top assignment: {search.top_conflicts}",
-        f"verdict: {search.verdict}",
-    ]
-    _emit(report, lines, args.json)
+    # the listings' rows as json.dumps(_jsonable(rows), indent=2, sort_keys=True) writes them
+    probs = [repr(_round12(p)) for p in values.tolist()]
+    rows = [f'    {{\n      "assignment": "{b}",\n      "probability": {probs[k]}\n    }}'
+            for b, k in zip(bits, which)]
+    solutions = [f'    "{b}"' for b in assignment_bit_strings(search.solutions, f.n, reverse)]
+    print(_with_list(_with_list(_json_text(report), "distribution", rows), "brute_force_solutions", solutions))
     return 0
 
 

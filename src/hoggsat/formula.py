@@ -135,6 +135,14 @@ def assignment_bits(assignment: int, n: int) -> str:
     return format(assignment, f"0{n}b")
 
 
+def assignment_bit_strings(assignments: np.ndarray, n: int, reverse: bool = False) -> list[str]:
+    """`assignment_bits` of every assignment in one numpy pass; with
+    `reverse`, of its `reverse_bits` instead (V_n leftmost)."""
+    shifts = np.arange(n) if reverse else np.arange(n - 1, -1, -1)
+    chars = ((np.asarray(assignments, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+    return chars.view(f"S{n}").ravel().astype(str).tolist()
+
+
 def parse_assignment_bits(bits: str) -> int:
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"not a bit string: {bits!r}")

@@ -48,10 +48,15 @@ for odd m, T = 4 and s = 2 for even m.  Term t has a Gaussian-integer
 coefficient and the per-qubit rows Hu diag(1, gamma_t) Hu (r_t**a_k,
 r_t**b_k), so the arithmetic is exact until the scale, and an amplitude
 that cancels is an exact 0.  `solve` evaluates the matrix product of the
-halves over V_1..V_h and V_h+1..V_n, h = ceil(n/2) (`state_halves`), in
-blocks of `SOLVE_BLOCK` entries and keeps only the nonzero probabilities;
-each amplitude sums at most four products of Gaussian integers below
-2**53, so no block size or order moves a probability or a tie.
+halves over V_1..V_h and V_h+1..V_n, h = ceil(n/2) (`state_halves`).  A
+half index that is 0 in every term makes its whole row or column of the
+product exactly 0, so `solve` drops those indices first: for each variable
+in at most one clause a constrained qubit's row is 0 at one value in each
+term, and at most 4 * 2**(n-m) entries remain (2**(n-m) for odd m).  It
+evaluates the rest in blocks of `SOLVE_BLOCK` entries and keeps only the
+nonzero probabilities; each amplitude sums at most four products of
+Gaussian integers below 2**53, so neither the dropped indices nor the
+block size or order moves a probability or a tie.
 
 The verdict is SAT exactly when the most probable assignment `top` has no
 conflicts, so SAT is always right.  `top` is the lowest index among ties,
@@ -83,8 +88,9 @@ OPERATOR_TOL = 1e-10
 _I_POWERS = np.array([1, 1j, -1, -1j])
 #: Seed of the Gaussian probe vector x on which `verify_wgw` checks W(Wx) = x.
 WALSH_PROBE_SEED = 1977
-#: Entries of U R W|0> that `solve` evaluates at once, as measured at n = 16:
-#: 1024 pay for the loop, and from 16384 on each call faults in fresh pages.
+#: Entries of U R W|0> that `solve` evaluates at once, after dropping the half
+#: indices that are 0 in every term (exact zeros, see above), as measured at
+#: n = 16: 1024 pay for the loop, and from 16384 on each call faults in fresh pages.
 SOLVE_BLOCK = 4096
 
 
@@ -244,14 +250,17 @@ def solve(f: Formula) -> SearchReport:
     docstring) and check it against brute force, holding no 2**n array."""
     left, right, scale = state_halves(f)
     width = right.shape[1]
-    rows = SOLVE_BLOCK // width
+    # an index whose half is 0 in every term has an all-zero row or column
+    hi, lo = np.flatnonzero(left.any(0)), np.flatnonzero(right.any(0))
+    left, right = left[:, hi], right[:, lo]
+    rows = SOLVE_BLOCK // lo.size
     support, probabilities = [], []
-    for start in range(0, left.shape[1], rows):
+    for start in range(0, hi.size, rows):
         psi = left[:, start:start + rows].T @ right
         psi *= scale
         probs = (np.abs(psi) ** 2).ravel()
         nonzero = np.flatnonzero(probs)
-        support.append(nonzero + start * width)
+        support.append(np.add.outer(hi[start:start + rows] * width, lo).ravel()[nonzero])
         probabilities.append(probs[nonzero])
     support, probabilities = np.concatenate(support), np.concatenate(probabilities)
     high, low = conflict_halves(f)

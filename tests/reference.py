@@ -7,17 +7,20 @@ per-spin factors; the functions here form the same objects as whole
 2**n x 2**n matrices, the obvious way, so the fast routes can be checked
 against them.  Keep n small.  The search state also has its butterfly
 stages and its four-term Kronecker form here, the whole search as 2**n
-vectors (`dense_solve`), and the formula helpers that only the tests call:
-the clause-by-clause conflict count and a hypothesis strategy for
-one-literal formulas.
+vectors (`dense_solve`), the `solve` report rendered row by row
+(`solve_output`), and the formula helpers that only the tests call: the
+clause-by-clause conflict count and a hypothesis strategy for one-literal
+formulas.
 """
 
 import itertools
+import json
 from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
+from hoggsat.cli import _base_report, _display_bits, _jsonable
 from hoggsat.formula import Clause, Formula, Literal, spin_bit
 from hoggsat.hogg import (
     WgwReport,
@@ -25,6 +28,7 @@ from hoggsat.hogg import (
     measure_distribution,
     mixing_column,
     phase_matrix,
+    solve,
     state_halves,
     walsh_apply,
 )
@@ -121,6 +125,36 @@ def listed_distribution(report, n):
     probs = np.zeros(2**n)
     probs[report.support] = report.support_probabilities
     return probs
+
+
+def solve_output(f, bit_order="msb-v1", tolerance=1e-12, as_json=False):
+    """The stdout of `hoggsat solve` on f, one row at a time: `_display_bits`
+    of each listed and each brute-force assignment, and for ``--json`` the
+    whole report, row dicts included, through `_jsonable` and `json.dumps`."""
+    search = solve(f)
+    listed = search.support_probabilities > tolerance
+    support = [
+        {"assignment": _display_bits(a, f.n, bit_order), "probability": p}
+        for a, p in zip(search.support[listed].tolist(), search.support_probabilities[listed].tolist())
+    ]
+    top = _display_bits(search.top, f.n, bit_order)
+    if as_json:
+        report = _base_report("solve", bit_order)
+        report.update({
+            "formula": str(f), "n": f.n, "m": f.m, "distribution": support, "top_assignment": top,
+            "top_probability": search.top_probability, "top_conflicts": search.top_conflicts,
+            "verdict": search.verdict,
+            "brute_force_solutions": [_display_bits(a, f.n, bit_order) for a in search.solutions.tolist()],
+        })
+        return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    lines = [f"formula: {f}   (n={f.n}, m={f.m})", "distribution (assignment : probability):"]
+    lines += [f"  {row['assignment']} : {row['probability']:.12f}" for row in support]
+    lines += [
+        f"top assignment: {top}   probability {search.top_probability:.12f}",
+        f"conflicts of top assignment: {search.top_conflicts}",
+        f"verdict: {search.verdict}",
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 def butterfly_state(f):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
@@ -9,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hoggsat
+import reference
 from hoggsat import cli, formula, hogg, linalg, pulse, spin_sim
 from hoggsat.cli import main
 from hoggsat.pulse import THREE_SPIN_TABLE
@@ -105,6 +110,28 @@ class TestSolve:
         assert walsh_calls == walsh
         assert conflict_calls == counts
         assert half_calls == ["solve"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(reference.one_literal_formulas(16, 16), st.sampled_from(["msb-v1", "lsb-v1"]),
+           st.sampled_from([0.0, 1e-12, 0.01, 0.2, 1.0]))
+    def test_listing_matches_the_row_by_row_reference(self, f, bit_order, tolerance):
+        argv = ["solve", str(f), "--n", str(f.n), "--bit-order", bit_order, "--tolerance", repr(tolerance)]
+        for as_json in (False, True):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--json"] * as_json) == 0
+            # as line lists, a failure names the first differing line instead
+            # of diffing megabytes of text at every shrinking step
+            want = reference.solve_output(f, bit_order, tolerance, as_json)
+            assert out.getvalue().split("\n") == want.split("\n")
+
+    @pytest.mark.parametrize("bit_order", ["msb-v1", "lsb-v1"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bit_strings_match_display_bits(self, n, bit_order):
+        rng = np.random.default_rng(n)
+        assignments = np.array([0, 2**n - 1, *rng.integers(0, 2**n, 20)])
+        got = formula.assignment_bit_strings(assignments, n, reverse=bit_order == "lsb-v1")
+        assert got == [cli._display_bits(a, n, bit_order) for a in assignments.tolist()]
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "solve", "!v1 & v3", "--json")

@@ -9,6 +9,7 @@ import reference
 from hoggsat import hogg
 from hoggsat.formula import Clause, Formula, Literal, parse_formula, solutions, spin_bit
 from hoggsat.hogg import (
+    SOLVE_BLOCK,
     WgwReport,
     gamma_matrix,
     measure_distribution,
@@ -423,6 +424,8 @@ class TestBlocks:
         "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v1",
         "v1 & v2 & !v3 & v4 & v5 & !v6 & v7 & v8 & !v9 & v10 & v11 & !v12 & v13 & v14 & !v15 & v1",
         "v1 & !v3 & v5 & !v7 & v9 & !v11 & v13 & !v15",
+        "v2 & !v4 & v5 & v8 & !v9 & v12 & !v13 & v14 & !v16",
+        "!v1 & v3 & v4 & !v6 & v8 & v9 & !v10 & v11 & v13 & !v14 & v15 & !v16",
     ])
     def test_formula_cap_holds_no_state_vector(self, text):
         f = parse_formula(text, n=16)
@@ -433,7 +436,11 @@ class TestBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**16  # one 2**16 float64 vector
+        # with 8 or more distinct variables the halves keep at most
+        # 4 * 2**(16 - 8) = 1024 pairs once the all-zero half indices are
+        # dropped, so the search stays below one full block: SOLVE_BLOCK
+        # amplitudes (16 bytes each), their moduli and probabilities (8 + 8)
+        assert peak < 32 * SOLVE_BLOCK
 
 
 class TestMeasureDistribution:

@@ -42,21 +42,23 @@ r**c (r = +-i) is the Kronecker product of diag(r**a_k, r**b_k), and
     Gamma = 2**(-1/2) (1 - i) (-i)**((m-1)/2) i**h              (m odd)
           = (i**(m/2) (1 - i) (-i)**h + (-i)**(m/2) (1 + i) i**h) / 2   (m even)
 
-With W = 2**(-n/2) Hu^(x)n, Hu = [[1, 1], [1, -1]], U R W|0> is the real
-scale 2**(-(3n + s)/2) times a sum of T Kronecker products: T = 1 and s = 1
-for odd m, T = 4 and s = 2 for even m.  Term t has a Gaussian-integer
-coefficient and the per-qubit rows Hu diag(1, gamma_t) Hu (r_t**a_k,
-r_t**b_k), so the arithmetic is exact until the scale, and an amplitude
-that cancels is an exact 0.  `solve` evaluates the matrix product of the
-halves over V_1..V_h and V_h+1..V_n, h = ceil(n/2) (`state_halves`).  A
-half index that is 0 in every term makes its whole row or column of the
-product exactly 0, so `solve` drops those indices first: for each variable
-in at most one clause a constrained qubit's row is 0 at one value in each
-term, and at most 4 * 2**(n-m) entries remain (2**(n-m) for odd m).  It
-evaluates the rest in blocks of `SOLVE_BLOCK` entries and keeps only the
-nonzero probabilities; each amplitude sums at most four products of
-Gaussian integers below 2**53, so neither the dropped indices nor the
-block size or order moves a probability or a tie.
+With W = 2**(-n/2) Hu^(x)n, Hu = [[1, 1], [1, -1]], U R W is the real scale
+2**(-(3n + s)/2) times a sum of T Kronecker products: T = 1 and s = 1 for
+odd m, T = 4 and s = 2 for even m.  Term t has a Gaussian-integer
+coefficient and the per-qubit factors M_tk = Hu diag(1, gamma_t) Hu
+diag(r_t**a_k, r_t**b_k) Hu, so the arithmetic is exact until the scale, and
+an amplitude that cancels is an exact 0.  These factors (`search_factors`)
+are the one form of U R W: `pulse.search_unitary` joins them into the dense
+operator, and `state_halves` takes their column 0, U R W|0>, as the halves
+over V_1..V_h and V_h+1..V_n, h = ceil(n/2), whose matrix product `solve`
+evaluates.  A half index that is 0 in every term makes its whole row or
+column of the product exactly 0, so `solve` drops those indices first: for
+each variable in at most one clause a constrained qubit's row is 0 at one
+value in each term, and at most 4 * 2**(n-m) entries remain (2**(n-m) for
+odd m).  It evaluates the rest in blocks of `SOLVE_BLOCK` entries and keeps
+only the nonzero probabilities; each amplitude sums at most four products of
+Gaussian integers below 2**53, so neither the dropped indices nor the block
+size or order moves a probability or a tie.
 
 The verdict is SAT exactly when the most probable assignment `top` has no
 conflicts, so SAT is always right.  `top` is the lowest index among ties,
@@ -86,8 +88,6 @@ from .linalg import phase_aligned_error
 OPERATOR_TOL = 1e-10
 #: i**k at index k: the Gaussian-integer units
 _I_POWERS = np.array([1, 1j, -1, -1j])
-#: Seed of the Gaussian probe vector x on which `verify_wgw` checks W(Wx) = x.
-WALSH_PROBE_SEED = 1977
 #: Entries of U R W|0> that `solve` evaluates at once, after dropping the half
 #: indices that are 0 in every term (exact zeros, see above), as measured at
 #: n = 16: 1024 pay for the loop, and from 16384 on each call faults in fresh pages.
@@ -174,8 +174,8 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     `wgw_phase` at its largest-modulus entry.  U is unitary when column 0 of
     U^H U - I, which is 2**(-n/2) * W(|lambda|**2 - 1) for the eigenvalues
     lambda = 2**(n/2) * W u, stays within `tol`.  W @ W = I is checked on one
-    probe (Freivalds' randomized check): `walsh_involution_error` is
-    max |W(Wx) - x| for a fixed Gaussian vector x seeded by `WALSH_PROBE_SEED`,
+    fixed probe x = cos(0, 1, ..., 2**n - 1), whose entries do not follow the
+    1-bit count of their index: `walsh_involution_error` is max |W(Wx) - x|,
     so every check is O(n * 2**n) and n reaches the formula cap.  `passed` is
     False when the aligned error, the unitarity of U, the modulus error of
     Gamma or the probe error misses `tol`.
@@ -187,7 +187,7 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     eigenvalues = scale * walsh_apply(u)
     unitary = bool(np.abs(walsh_apply(np.abs(eigenvalues) ** 2 - 1.0)).max() / scale <= tol)
     gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
-    probe = np.random.default_rng(WALSH_PROBE_SEED).standard_normal(2**n)
+    probe = np.cos(np.arange(2**n))
     involution = float(np.abs(walsh_apply(walsh_apply(probe)) - probe).max())
     return WgwReport(
         n=n, m=m, wgw_error=err, wgw_phase=phase, mixing_unitary=unitary,
@@ -224,9 +224,9 @@ def _kron_rows(out: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def state_halves(f: Formula) -> tuple[np.ndarray, np.ndarray, float]:
-    """U R W|0> = scale * (left.T @ right).ravel() for f: per term, left holds
-    the coefficient times the row over V_1..V_h, right the row over the rest."""
+def search_factors(f: Formula) -> tuple[np.ndarray, np.ndarray, float]:
+    """U R W = scale * sum_t coefs[t] (x)_k factors[k, t] for f: the exact
+    term coefficients and the (n, T, 2, 2) factors M_tk of the module docstring."""
     # the terms as (r_t = sign * i, gamma_t, coefficient); for even m the
     # coefficient is twice R's coefficient of r**c times Gamma's of gamma**h
     k = f.m // 2
@@ -236,13 +236,19 @@ def state_halves(f: Formula) -> tuple[np.ndarray, np.ndarray, float]:
         terms, s = [(1, -1j, _I_POWERS[(k + 3) % 4]), (1, 1j, _I_POWERS[3 * k % 4]),
                     (-1, -1j, _I_POWERS[k % 4]), (-1, 1j, _I_POWERS[(3 * k + 1) % 4])], 2
     signs, gammas, coefs = map(np.array, zip(*terms))
-    v = _I_POWERS[np.multiply.outer(literal_counts(f).T, signs) % 4]  # r_t**a_k and r_t**b_k, (2, n, T)
-    plus, minus = v[0] + v[1], gammas * (v[0] - v[1])
-    rows = np.stack([plus + minus, plus - minus], axis=-1)  # Hu diag(1, gamma_t) Hu v, (n, T, 2)
-    half = (f.n + 1) // 2
-    left = _kron_rows(coefs[:, None], rows[:half])
-    right = _kron_rows(np.ones((len(coefs), 1)), rows[half:])
-    return left, right, 2.0 ** (-(3 * f.n + s) / 2)
+    a, b = _I_POWERS[np.multiply.outer(literal_counts(f).T, signs) % 4]  # r_t**a_k and r_t**b_k, (n, T)
+    # M_tk is linear in a and b: entry (i, j) is a (1 + g) + b (-1)**j (1 - g) with g = (-1)**i gamma_t
+    g = np.multiply.outer(gammas, [1, -1])[:, :, None]
+    factors = a[..., None, None] * (1 + g) + b[..., None, None] * ((1 - g) * [1, -1])
+    return coefs, factors, 2.0 ** (-(3 * f.n + s) / 2)
+
+
+def state_halves(f: Formula) -> tuple[np.ndarray, np.ndarray, float]:
+    """U R W|0> = scale * (left.T @ right).ravel() for f, from column 0 of `search_factors`:
+    per term, left holds the coefficient times its Kronecker product over V_1..V_h, right over the rest."""
+    coefs, factors, scale = search_factors(f)
+    rows, half = factors[..., 0], (f.n + 1) // 2
+    return _kron_rows(coefs[:, None], rows[:half]), _kron_rows(np.ones((len(coefs), 1)), rows[half:]), scale
 
 
 def solve(f: Formula) -> SearchReport:
@@ -275,13 +281,3 @@ def solve(f: Formula) -> SearchReport:
         support=support, support_probabilities=probabilities, top=top, top_probability=float(best),
         top_conflicts=top_conflicts, verdict="SAT" if top_conflicts == 0 else "UNSAT", solutions=solutions,
     )
-
-
-def measure_distribution(psi: np.ndarray) -> np.ndarray:
-    """Exact probability of each assignment for a normalized state."""
-    psi = np.asarray(psi, dtype=complex)
-    probs = np.abs(psi) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"state is not normalized (sum of probabilities {total})")
-    return probs

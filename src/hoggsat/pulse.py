@@ -1,7 +1,8 @@
 """Single-spin pulse sequences: parsing, unitaries, compilation of diagonal
 operators to z-rotations, verification of reduced sequences against the
-search operator U R W, and the pulse-and-delay programs that permutation
-gates lower to (the gates themselves live in `spin_sim`).
+search operator U R W (joined from the per-qubit factors that `solve` also
+uses, `hogg.search_factors`), and the pulse-and-delay programs that
+permutation gates lower to (the gates themselves live in `spin_sim`).
 
 Notation (mirrors the usual NMR shorthand):
 
@@ -27,7 +28,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .formula import Formula, parse_assignment_bits, reverse_bits, spin_bit
-from .hogg import gamma_matrix, phase_matrix, walsh_apply
+from .hogg import search_factors
 from .linalg import IDENTITY_2, check_dense_size, kron_all, phase_aligned_error, rotation
 
 QUARTER_TURN = np.pi / 2
@@ -292,11 +293,15 @@ class SequenceVerification:
 
 
 def search_unitary(f: Formula) -> np.ndarray:
-    """Dense U R W for formula f: the pipeline's butterflies and diagonals
-    applied to every basis column, with U = W Gamma W."""
+    """Dense U R W for f: the Kronecker products of the terms' per-qubit factors
+    (`hogg.search_factors`), batched; the last qubit's matrix product sums the terms."""
     check_dense_size(f.n)
-    columns = phase_matrix(f)[:, None] * walsh_apply(np.eye(2**f.n))
-    return walsh_apply(gamma_matrix(f.n, f.m)[:, None] * walsh_apply(columns))
+    coefs, factors, scale = search_factors(f)
+    out = scale * coefs[:, None, None]
+    for factor in factors[:-1]:
+        out = (out[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(len(out), 2 * out.shape[1], -1)
+    out = out.reshape(len(out), -1).T @ factors[-1].reshape(len(out), 4)  # entries (i, j, a, b)
+    return out.reshape(2 ** (f.n - 1), -1, 2, 2).transpose(0, 2, 1, 3).reshape(2**f.n, -1)
 
 
 def verify_table_sequence(f: Formula, seq: PulseSequence,

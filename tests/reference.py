@@ -1,16 +1,16 @@
 """Dense reference operators for the test suite.
 
-The library builds the search operators from butterflies and diagonals,
-keeps diagonal deviation states as population vectors, reads spectra and
-z-product terms off the populations and builds single-spin operators as
-per-spin factors; the functions here form the same objects as whole
-2**n x 2**n matrices, the obvious way, so the fast routes can be checked
-against them.  Keep n small.  The search state also has its butterfly
-stages and its four-term Kronecker form here, the whole search as 2**n
-vectors (`dense_solve`), the `solve` report rendered row by row
-(`solve_output`), and the formula helpers that only the tests call: the
-clause-by-clause conflict count and a hypothesis strategy for one-literal
-formulas.
+The library builds U R W from per-qubit factors, checks U = W Gamma W with
+butterflies and diagonals, keeps diagonal deviation states as population
+vectors, reads spectra and z-product terms off the populations and builds
+single-spin operators as per-spin factors; the functions here form the
+same objects as whole 2**n x 2**n matrices, the obvious way, so the fast
+routes can be checked against them.  Keep n small.  The search state also
+has its butterfly stages and its four-term Kronecker form here, the whole
+search as 2**n vectors (`dense_solve`), the `solve` report rendered row by
+row (`solve_output`), and the formula helpers that only the tests call:
+the clause-by-clause conflict count and a hypothesis strategy for
+one-literal formulas.
 """
 
 import itertools
@@ -25,7 +25,6 @@ from hoggsat.formula import Clause, Formula, Literal, spin_bit
 from hoggsat.hogg import (
     WgwReport,
     gamma_matrix,
-    measure_distribution,
     mixing_column,
     phase_matrix,
     solve,
@@ -106,7 +105,7 @@ def dense_solve(f):
     psi = (left.T @ right).ravel()
     psi *= scale
     counts = conflict_counts_by_clause(f)
-    probs = measure_distribution(psi)
+    probs = np.abs(psi) ** 2
     top = int(np.argmax(probs))
     if f.m % 2 == 0 and counts[top]:
         tied = np.flatnonzero(probs == probs[top])

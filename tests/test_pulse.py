@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import reference
 from hoggsat.formula import parse_formula, solutions
-from hoggsat.hogg import gamma_matrix, phase_matrix
-from hoggsat.linalg import AXES, phase_aligned_error
+from hoggsat.hogg import gamma_matrix, phase_matrix, search_factors, state_halves
+from hoggsat.linalg import AXES, kron_all, phase_aligned_error
 from hoggsat.pulse import (
     NotTensorFactorable,
     Pulse,
@@ -23,7 +23,7 @@ from hoggsat.pulse import (
     verify_table_sequence,
 )
 from hoggsat.spin_sim import builtin_prep_scheme, lowering_errors
-from reference import is_unitary, one_sat_formulas
+from reference import is_unitary, one_literal_formulas, one_sat_formulas
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 PHASE_FIXTURE = np.array([-1j, -1, -1, 1j, -1, 1j, 1j, 1])
@@ -294,6 +294,22 @@ class TestTableVerification:
     def test_search_unitary_matches_dense_product(self, n):
         for f in one_sat_formulas(n):
             assert np.abs(search_unitary(f) - reference.search_unitary(f)).max() <= 1e-12, str(f)
+
+    # repeats and contradictions included: one form of U R W for solve and pulse verify
+    @settings(max_examples=50, deadline=None)
+    @given(one_literal_formulas(8, 12))
+    def test_search_unitary_matches_dense_product_with_repeats(self, f):
+        assert np.abs(search_unitary(f) - reference.search_unitary(f)).max() <= 1e-12, str(f)
+
+    @settings(max_examples=50, deadline=None)
+    @given(one_literal_formulas(8, 12))
+    def test_state_halves_are_column_zero_of_the_factors(self, f):
+        coefs, factors, scale = search_factors(f)
+        assert factors.shape == (f.n, len(coefs), 2, 2)
+        column = sum(coef * kron_all(factors[:, t, :, 0]) for t, coef in enumerate(coefs))
+        left, right, half_scale = state_halves(f)
+        assert half_scale == scale
+        assert np.array_equal((left.T @ right).ravel(), column)
 
     def test_search_unitary_dense_cap(self):
         with pytest.raises(ValueError, match=r"n=13 needs a dense 2\*\*13 x 2\*\*13"):

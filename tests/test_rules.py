@@ -80,9 +80,11 @@ def test_literal_counts_live_only_in_formula():
     assert clause_iterations(SRC / "formula.py"), "the guard no longer finds literal_counts' own loop"
     assert clause_iterations(SRC / "hogg.py") == []
     tree = ast.parse((SRC / "hogg.py").read_text())
-    # solve reads the state and the conflicts through literal_counts
+    # solve reads the state and the conflicts through literal_counts, the
+    # state by way of the per-qubit factors of U R W
     assert {"state_halves", "conflict_halves"} <= called_names(tree, "solve")
-    assert "literal_counts" in called_names(tree, "state_halves")
+    assert "search_factors" in called_names(tree, "state_halves")
+    assert "literal_counts" in called_names(tree, "search_factors")
 
 
 def test_cli_leaves_the_search_check_to_solve():
@@ -98,7 +100,8 @@ def test_cli_leaves_the_search_check_to_solve():
     assert names & {"conflict_counts", "measure_distribution", "run_pipeline", "argmax"} == set()
 
 
-def test_pulse_imports_nothing_from_spin_sim():
+def pulse_imports():
+    """Each module pulse imports from, and each `module.name` it imports."""
     imported = []
     for node in ast.walk(ast.parse((SRC / "pulse.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -107,7 +110,16 @@ def test_pulse_imports_nothing_from_spin_sim():
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
     assert "formula" in imported, "the guard no longer reads pulse's imports"
-    assert [name for name in imported if "spin_sim" in name] == []
+    return imported
+
+
+def test_pulse_imports_nothing_from_spin_sim():
+    assert [name for name in pulse_imports() if "spin_sim" in name] == []
+
+
+def test_pulse_imports_only_the_search_factors_from_hogg():
+    # U R W has one form, the per-qubit factors; no butterfly or diagonal
+    assert [name for name in pulse_imports() if name.startswith("hogg.")] == ["hogg.search_factors"]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -4,10 +4,11 @@ Subcommands: solve, verify, prep, compare, pulse, spectrum.  Each takes
 ``--json`` (emit the full machine-readable report) and only the other options
 its handler reads.  ``--bit-order {msb-v1,lsb-v1}`` (lsb-v1 reverses the bit
 order, matching the transcription used by the tabulated measured data) is
-read by solve and compare; the other reports are in msb-v1.  Output is
-deterministic: floats are fixed at 12 significant digits and reports
-serialize with sorted keys.  The exit code is 0 exactly when every requested
-check passes.
+read by solve and compare; for compare it is also the order of the vectors
+and of the ``--ideal-index`` token.  The other reports are in msb-v1.
+Output is deterministic: floats are fixed at 12 significant digits and
+reports serialize with sorted keys.  The exit code is 0 exactly when every
+requested check passes.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def _emit(report: dict, lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _display_bits(assignment: int, n: int, bit_order: str) -> str:
-    if bit_order == "lsb-v1":
-        assignment = reverse_bits(assignment, n)
-    return assignment_bits(assignment, n)
+def _ordered(assignments: int | np.ndarray, n: int, bit_order: str) -> int | np.ndarray:
+    """Package-order `assignments` (an int or an int array) as indices in
+    `bit_order`; the one reader of ``--bit-order``."""
+    return reverse_bits(assignments, n) if bit_order == "lsb-v1" else assignments
 
 
 def _base_report(command: str, bit_order: str = "msb-v1") -> dict:
@@ -128,13 +129,12 @@ def _load_params(args):
 def _cmd_solve(args) -> int:
     f = parse_formula(args.formula, n=args.n)
     search = solve(f)
-    reverse = args.bit_order == "lsb-v1"
     listed = search.support_probabilities > args.tolerance
-    bits = assignment_bit_strings(search.support[listed], f.n, reverse)
+    bits = assignment_bit_strings(_ordered(search.support[listed], f.n, args.bit_order), f.n)
     # a listing holds few distinct probabilities: each is formatted once
     values, which = np.unique(search.support_probabilities[listed], return_inverse=True)
     which = which.tolist()
-    top = _display_bits(search.top, f.n, args.bit_order)
+    top = assignment_bits(_ordered(search.top, f.n, args.bit_order), f.n)
     if not args.json:
         probs = [f"{p:.12f}" for p in values.tolist()]
         print("\n".join([
@@ -162,7 +162,8 @@ def _cmd_solve(args) -> int:
     probs = [repr(_round12(p)) for p in values.tolist()]
     rows = [f'    {{\n      "assignment": "{b}",\n      "probability": {probs[k]}\n    }}'
             for b, k in zip(bits, which)]
-    solutions = [f'    "{b}"' for b in assignment_bit_strings(search.solutions, f.n, reverse)]
+    solutions = [f'    "{b}"'
+                 for b in assignment_bit_strings(_ordered(search.solutions, f.n, args.bit_order), f.n)]
     print(_with_list(_with_list(_json_text(report), "distribution", rows), "brute_force_solutions", solutions))
     return 0
 
@@ -279,18 +280,15 @@ def _cmd_compare(args) -> int:
     elif args.ideal_index is not None:
         token = args.ideal_index
         index = int(token, 2) if set(token) <= {"0", "1"} and len(token) == n else int(token)
-        ideal = ideal_population_vector(n, index)  # checks the index as given, in either order
-        if args.bit_order == "lsb-v1":
-            index = reverse_bits(index, n)
-            ideal = ideal_population_vector(n, index)
-        ideal_label = f"population on assignment {_display_bits(index, n, args.bit_order)}"
+        ideal = ideal_population_vector(n, index)  # the token is a vector index, in --bit-order
+        ideal_label = f"population on assignment {assignment_bits(index, n)}"
     else:
         f = parse_formula(args.ideal_formula, n=n)
         sols = sorted(solutions(f))
         if len(sols) != 1:
             raise ValueError(f"compare: formula {f} has {len(sols)} solutions; "
                              "an ideal population vector needs exactly one")
-        index = sols[0] if args.bit_order == "msb-v1" else reverse_bits(sols[0], n)
+        index = _ordered(sols[0], n, args.bit_order)
         ideal = ideal_population_vector(n, index)
         ideal_label = (f"solution of {f} at vector index {index} "
                        f"(bit order {args.bit_order})")
@@ -481,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ideal = p.add_mutually_exclusive_group(required=True)
     ideal.add_argument("--ideal-file", default=None)
     ideal.add_argument("--ideal-index", default=None,
-                       help="basis index (integer or bit string) carrying the ideal population")
+                       help="vector index (integer, or bit string in --bit-order) carrying the ideal population")
     ideal.add_argument("--ideal-formula", default=None,
                        help="single-solution formula defining the ideal population")
     p.add_argument("--threshold", type=_nonnegative_float, default=None, help="pass/fail bound on the max deviation")

@@ -135,10 +135,9 @@ def assignment_bits(assignment: int, n: int) -> str:
     return format(assignment, f"0{n}b")
 
 
-def assignment_bit_strings(assignments: np.ndarray, n: int, reverse: bool = False) -> list[str]:
-    """`assignment_bits` of every assignment in one numpy pass; with
-    `reverse`, of its `reverse_bits` instead (V_n leftmost)."""
-    shifts = np.arange(n) if reverse else np.arange(n - 1, -1, -1)
+def assignment_bit_strings(assignments: np.ndarray, n: int) -> list[str]:
+    """`assignment_bits` of every assignment in one numpy pass."""
+    shifts = np.arange(n - 1, -1, -1)
     chars = ((np.asarray(assignments, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
     return chars.view(f"S{n}").ravel().astype(str).tolist()
 
@@ -149,13 +148,13 @@ def parse_assignment_bits(bits: str) -> int:
     return int(bits, 2)
 
 
-def reverse_bits(assignment: int, n: int) -> int:
-    """Mirror the bit order of an assignment (V_1 <-> V_n and so on)."""
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (assignment & 1)
-        assignment >>= 1
-    return out
+def reverse_bits(assignment: int | np.ndarray, n: int) -> int | np.ndarray:
+    """Mirror the bit order of an assignment, or of each in an int array
+    (V_1 <-> V_n and so on): the package's one bit-order flip.  An int in
+    gives an int out."""
+    bits = (np.asarray(assignment, dtype=np.int64)[..., None] >> np.arange(n)) & 1  # V_n first
+    out = bits @ (1 << np.arange(n - 1, -1, -1))
+    return out if isinstance(assignment, np.ndarray) else int(out)
 
 
 def literal_counts(f: Formula) -> np.ndarray:

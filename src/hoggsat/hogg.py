@@ -171,9 +171,9 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     Both U and W Gamma W depend only on r XOR s, so their columns 0 decide
     every entry: column 0 of W Gamma W is 2**(-n/2) * W Gamma; `wgw_error` is
     its max error against `mixing_column` after aligning the global phase
-    `wgw_phase` at its largest-modulus entry.  U is unitary when column 0 of
-    U^H U - I, which is 2**(-n/2) * W(|lambda|**2 - 1) for the eigenvalues
-    lambda = 2**(n/2) * W u, stays within `tol`.  W @ W = I is checked on one
+    `wgw_phase` at its largest-modulus entry.  U is unitary when each of its
+    eigenvalues lambda = 2**(n/2) * W u has ||lambda|**2 - 1| <= `tol`, which
+    bounds column 0 of U^H U - I as well.  W @ W = I is checked on one
     fixed probe x = cos(0, 1, ..., 2**n - 1), whose entries do not follow the
     1-bit count of their index: `walsh_involution_error` is max |W(Wx) - x|,
     so every check is O(n * 2**n) and n reaches the formula cap.  `passed` is
@@ -185,7 +185,7 @@ def verify_wgw(n: int, m: int, tol: float = OPERATOR_TOL) -> WgwReport:
     scale = 2 ** (n / 2)
     err, phase = phase_aligned_error(walsh_apply(gamma) / scale, u)
     eigenvalues = scale * walsh_apply(u)
-    unitary = bool(np.abs(walsh_apply(np.abs(eigenvalues) ** 2 - 1.0)).max() / scale <= tol)
+    unitary = bool(np.abs(np.abs(eigenvalues) ** 2 - 1.0).max() <= tol)
     gamma_mod = float(np.abs(np.abs(gamma) - 1.0).max())
     probe = np.cos(np.arange(2**n))
     involution = float(np.abs(walsh_apply(walsh_apply(probe)) - probe).max())

@@ -8,7 +8,8 @@ same objects as whole 2**n x 2**n matrices, the obvious way, so the fast
 routes can be checked against them.  Keep n small.  The search state also
 has its butterfly stages and its four-term Kronecker form here, the whole
 search as 2**n vectors (`dense_solve`), the `solve` report rendered row by
-row (`solve_output`), and the formula helpers that only the tests call:
+row (`solve_output`) with its own bit strings (`display_bits`), and the
+formula helpers that only the tests call:
 the clause-by-clause conflict count and a hypothesis strategy for
 one-literal formulas.
 """
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from hoggsat.cli import _base_report, _display_bits, _jsonable
+from hoggsat.cli import _base_report, _jsonable
 from hoggsat.formula import Clause, Formula, Literal, spin_bit
 from hoggsat.hogg import (
     WgwReport,
@@ -126,24 +127,31 @@ def listed_distribution(report, n):
     return probs
 
 
+def display_bits(assignment, n, bit_order):
+    """An assignment's bit string in `bit_order`, V_1 leftmost for msb-v1 and
+    the string reversed for lsb-v1; shares no code with `reverse_bits`."""
+    bits = format(assignment, f"0{n}b")
+    return bits[::-1] if bit_order == "lsb-v1" else bits
+
+
 def solve_output(f, bit_order="msb-v1", tolerance=1e-12, as_json=False):
-    """The stdout of `hoggsat solve` on f, one row at a time: `_display_bits`
+    """The stdout of `hoggsat solve` on f, one row at a time: `display_bits`
     of each listed and each brute-force assignment, and for ``--json`` the
     whole report, row dicts included, through `_jsonable` and `json.dumps`."""
     search = solve(f)
     listed = search.support_probabilities > tolerance
     support = [
-        {"assignment": _display_bits(a, f.n, bit_order), "probability": p}
+        {"assignment": display_bits(a, f.n, bit_order), "probability": p}
         for a, p in zip(search.support[listed].tolist(), search.support_probabilities[listed].tolist())
     ]
-    top = _display_bits(search.top, f.n, bit_order)
+    top = display_bits(search.top, f.n, bit_order)
     if as_json:
         report = _base_report("solve", bit_order)
         report.update({
             "formula": str(f), "n": f.n, "m": f.m, "distribution": support, "top_assignment": top,
             "top_probability": search.top_probability, "top_conflicts": search.top_conflicts,
             "verdict": search.verdict,
-            "brute_force_solutions": [_display_bits(a, f.n, bit_order) for a in search.solutions.tolist()],
+            "brute_force_solutions": [display_bits(a, f.n, bit_order) for a in search.solutions.tolist()],
         })
         return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     lines = [f"formula: {f}   (n={f.n}, m={f.m})", "distribution (assignment : probability):"]

@@ -130,8 +130,8 @@ class TestSolve:
     def test_bit_strings_match_display_bits(self, n, bit_order):
         rng = np.random.default_rng(n)
         assignments = np.array([0, 2**n - 1, *rng.integers(0, 2**n, 20)])
-        got = formula.assignment_bit_strings(assignments, n, reverse=bit_order == "lsb-v1")
-        assert got == [cli._display_bits(a, n, bit_order) for a in assignments.tolist()]
+        got = formula.assignment_bit_strings(cli._ordered(assignments, n, bit_order), n)
+        assert got == [reference.display_bits(a, n, bit_order) for a in assignments.tolist()]
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "solve", "!v1 & v3", "--json")
@@ -345,6 +345,23 @@ class TestCompare:
                                "--bit-order", "lsb-v1", "--threshold", "0.09")
         assert code == 0
         assert "max deviation: 0.08" in out
+
+    @pytest.mark.parametrize("bit_order", ["msb-v1", "lsb-v1"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ideal_index_and_formula_place_the_population_alike(self, capsys, tmp_path, n, bit_order):
+        # both read the measured vector in --bit-order: the index token is
+        # its position there, as is the formula's one solution
+        for p in range(2**n):
+            ket = reference.display_bits(p, n, bit_order)
+            path = tmp_path / f"{ket}.csv"
+            path.write_text(",".join("1" if k == int(ket, 2) else "0" for k in range(2**n)))
+            text = " & ".join(("" if bit == "1" else "!") + f"v{k}"
+                              for k, bit in enumerate(reference.display_bits(p, n, "msb-v1"), 1))
+            by_index, by_formula = (
+                json.loads(run_cli(capsys, "compare", str(path), ideal, value, "--bit-order", bit_order, "--json")[1])
+                for ideal, value in (("--ideal-index", ket), ("--ideal-formula", text)))
+            assert by_index["per_entry"] == by_formula["per_entry"]
+            assert (by_index["max_abs_dev"], by_formula["max_abs_dev"]) == (0, 0)
 
     def test_ideal_vs_itself(self, capsys, prep_csv):
         code, out, _ = run_cli(capsys, "compare", prep_csv, "--ideal-file", prep_csv)

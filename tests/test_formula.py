@@ -186,6 +186,13 @@ class TestConventions:
     def test_reverse_bits(self):
         assert reverse_bits(0b110, 3) == 0b011
         assert reverse_bits(0b101, 3) == 0b101
+        for n in range(1, 17):
+            a = np.array([0, 1, 2**n - 1, *np.random.default_rng(n).integers(0, 2**n, 20)])
+            got = reverse_bits(a, n)
+            assert got.tolist() == [reverse_bits(int(x), n) for x in a]
+            assert np.array_equal(reverse_bits(got, n), a)
+            assert [assignment_bits(x, n) for x in got.tolist()] == [assignment_bits(x, n)[::-1] for x in a.tolist()]
+            assert type(reverse_bits(int(a[-1]), n)) is int
 
     @given(st.integers(1, 8), st.data())
     def test_reverse_involution(self, n, data):

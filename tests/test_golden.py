@@ -70,6 +70,9 @@ COMMANDS = (
     # an empty listing, and a 256-row lsb-v1 listing at n = 16
     ("solve", "v1 & v2", "--tolerance", "1"),
     ("solve", "v1 & !v3 & v5 & !v7 & v9 & !v11 & v13 & !v15", "--n", "16", "--bit-order", "lsb-v1"),
+    # an --ideal-index token in lsb-v1 order that is not a palindrome
+    ("compare", "demos/data/measured_final_nv1_nv2_v3.csv", "--ideal-index", "100", "--bit-order", "lsb-v1",
+     "--threshold", "0.16"),
 )
 
 # a decimal number: signed after a digit (the imaginary part of ``1-0i``),

@@ -1,5 +1,6 @@
-"""Each package-wide rule has one owner: the bit order (`spin_bit`) and the
-qubit cap (`check_qubit_count`) in `formula`, the per-variable literal
+"""Each package-wide rule has one owner: the bit order (`spin_bit`), its one
+flip (`reverse_bits`) and the qubit cap (`check_qubit_count`) in `formula`,
+the ``--bit-order`` flag in `cli._ordered`, the per-variable literal
 counts in `formula.literal_counts`, the gate types, with their index maps
 and lowering, in `spin_sim`, and the search verdict in `hogg.solve`.  Pulse-program elements render and multiply themselves."""
 
@@ -31,6 +32,24 @@ def test_bit_order_shifts_live_only_in_spin_bit():
                 (owned if inside else elsewhere).append(f"{path.name}:{lineno}: {line.strip()}")
     assert owned, "the guard's pattern no longer matches spin_bit itself"
     assert elsewhere == []
+
+
+def test_bit_order_flag_is_read_only_in_one_helper():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (owner,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_ordered"]
+    compares = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and {"msb-v1", "lsb-v1"} & {getattr(c, "value", None) for c in ast.walk(node)}]
+    flips = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "reverse_bits"]
+    assert compares and flips, "the guard no longer finds the helper's own test and flip"
+    assert [line for line in compares + flips if not owner.lineno <= line <= owner.end_lineno] == []
+
+
+def test_no_function_takes_a_reverse_flag():
+    # a `reverse` parameter would be a second implementation of the flip
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.arg) and node.arg == "reverse"]
+    assert found == []
 
 
 def isinstance_checks(types):
